@@ -17,18 +17,16 @@ the zero edge itself. Structurally identical nodes, with weights compared
 after rounding each component to EPS-wide buckets, are interned in a
 per-level unique table, so equality of subdiagrams is object identity.
 
-Operation results are memoized in fixed-capacity compute tables that simply
-overwrite on slot collision. The multiply table keys on the operand node
-pair only: incoming edge weights are scalars that commute through the
-product, so they are factored out and multiplied back onto the cached
-result. The add table has no such factoring (only a common scalar could be
-pulled out of a sum), so its keys are the full operand edges, weights
-included. The practical consequence is that multiplication memoizes by
-structure while addition is sensitive to the weight products accumulated
-along each recursion path; gates whose application mixes many distinct
-weight pairs into the same node pairs, SWAP between distant wires being the
-canonical case, defeat the add cache and degrade toward the dense cost.
-That asymmetry is what the swap-elimination rewrite exploits.
+Operation results are memoized in two dicts, each bounded at
+COMPUTE_TABLE_LIMIT entries and cleared wholesale when an insert finds it
+full. The multiply memo keys on the operand node pair only: incoming edge
+weights are scalars that commute through the product, so they are factored
+out and multiplied back onto the cached result. The add memo has no such
+factoring (only a common scalar could be pulled out of a sum), so its keys
+are the full operand edges, weights included, and on phase-rich states it
+seldom sees the same key twice. A SWAP between distant wires makes the add
+recursion combine subdiagrams under many distinct weight products, each sum
+new to the memo; that is the work the swap-elimination rewrite saves.
 
 Garbage collection is explicit: nodes carry a reference count used to pin
 roots, and a mark-and-sweep pass runs when the unique tables grow past a
@@ -47,7 +45,7 @@ from .circuit import Gate, gate_unitary
 EPS = 1e-12
 _INV_EPS = 1.0 / EPS
 
-DEFAULT_COMPUTE_TABLE_SIZE = 1 << 20
+COMPUTE_TABLE_LIMIT = 1 << 20
 DEFAULT_GC_THRESHOLD = 1 << 22
 
 _C0 = complex(0.0, 0.0)
@@ -101,22 +99,18 @@ class DDPackage:
         self,
         num_qubits: int,
         *,
-        compute_table_size: int = DEFAULT_COMPUTE_TABLE_SIZE,
         gc_threshold: int = DEFAULT_GC_THRESHOLD,
     ) -> None:
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-        if compute_table_size < 2 or compute_table_size & (compute_table_size - 1):
-            raise ValueError("compute_table_size must be a power of two >= 2")
         self.num_qubits = num_qubits
         self.gc_threshold = gc_threshold
         self.node_count = 0
         self.gc_runs = 0
         self.deadline: float | None = None
         self._unique: list[dict] = [dict() for _ in range(num_qubits)]
-        self._mask = compute_table_size - 1
-        self._mul_cache: list = [None] * compute_table_size
-        self._add_cache: list = [None] * compute_table_size
+        self._mul_cache: dict = {}
+        self._add_cache: dict = {}
         self._tick = 0
         # apply/add recurse one frame set per level
         limit = 4 * num_qubits + 200
@@ -279,16 +273,14 @@ class DDPackage:
         if id(nb) < id(na):
             na, nb = nb, na
             wa, wb = wb, wa
-        idx = (id(na) * 0x9E3779B97F4A7C15 ^ id(nb) ^ hash(wa) ^ hash(wb) * 0x100000001B3) & self._mask
-        slot = self._add_cache[idx]
-        if (
-            slot is not None
-            and slot[0] is na
-            and slot[2] is nb
-            and slot[1] == wa
-            and slot[3] == wb
-        ):
-            return slot[4]
+        key = (na, wa, nb, wb)
+        cache = self._add_cache
+        res = cache.get(key)
+        if res is not None:
+            return res
+        self._tick = tick = self._tick + 1
+        if not tick & 0x7FFF:
+            self._check_deadline()
         ea_children = na.edges
         eb_children = nb.edges
         parts = []
@@ -297,7 +289,9 @@ class DDPackage:
             cb = eb_children[i]
             parts.append(self._add(Edge(wa * ca[0], ca[1]), Edge(wb * cb[0], cb[1])))
         res = self._norm_intern(na.level, parts)
-        self._add_cache[idx] = (na, wa, nb, wb, res)
+        if len(cache) >= COMPUTE_TABLE_LIMIT:
+            cache.clear()
+        cache[key] = res
         return res
 
     def apply(self, op: Edge, state: Edge) -> Edge:
@@ -321,21 +315,26 @@ class DDPackage:
             return Edge(wm * wv, TERMINAL)
         self._tick = tick = self._tick + 1
         if not tick & 0x7FFF:
-            d = self.deadline
-            if d is not None and perf_counter() > d:
-                raise SimulationTimeout("deadline exceeded during apply")
-        idx = (id(mn) * 0x9E3779B97F4A7C15 ^ id(vn)) & self._mask
-        slot = self._mul_cache[idx]
-        if slot is not None and slot[0] is mn and slot[1] is vn:
-            r = slot[2]
+            self._check_deadline()
+        key = (mn, vn)
+        cache = self._mul_cache
+        r = cache.get(key)
+        if r is not None:
             return Edge(wm * wv * r[0], r[1])
         m00, m01, m10, m11 = mn.edges
         v0, v1 = vn.edges
         r0 = self._add(self._mul(m00, v0), self._mul(m01, v1))
         r1 = self._add(self._mul(m10, v0), self._mul(m11, v1))
         res = self._norm_intern(mn.level, [r0, r1])
-        self._mul_cache[idx] = (mn, vn, res)
+        if len(cache) >= COMPUTE_TABLE_LIMIT:
+            cache.clear()
+        cache[key] = res
         return Edge(wm * wv * res[0], res[1])
+
+    def _check_deadline(self) -> None:
+        d = self.deadline
+        if d is not None and perf_counter() > d:
+            raise SimulationTimeout("deadline exceeded during apply or add")
 
     def amplitude(self, edge: Edge, bits: str) -> complex:
         """Amplitude of |bits>: the weight product along the selected path."""
@@ -381,9 +380,8 @@ class DDPackage:
             self._unique[level] = keep
         self.node_count -= reclaimed
         # compute tables key on node identity; drop them wholesale
-        size = self._mask + 1
-        self._mul_cache = [None] * size
-        self._add_cache = [None] * size
+        self._mul_cache.clear()
+        self._add_cache.clear()
         self.gc_runs += 1
         return reclaimed
 

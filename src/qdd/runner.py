@@ -63,15 +63,9 @@ class RunResult:
     def statevector(self) -> np.ndarray:
         """Dense amplitudes indexed by original labels (qubit 0 is the MSB)."""
         raw = dd.to_statevector(self.final_state, self.num_qubits)
-        perm = self.output_permutation
-        if perm.is_identity:
-            return raw
-        n = self.num_qubits
-        out = np.empty_like(raw)
-        for idx in range(raw.size):
-            bits = format(idx, f"0{n}b")
-            out[idx] = raw[int(permute_bits(perm, bits), 2)]
-        return out
+        # axis q of the result is original qubit q, which sits on wire mapping[q]
+        mapping = self.output_permutation.mapping
+        return raw.reshape((2,) * self.num_qubits).transpose(mapping).reshape(-1)
 
 
 def run(
@@ -79,7 +73,6 @@ def run(
     mode: ReorderMode = ReorderMode.NONE,
     *,
     timeout_s: float | None = None,
-    compute_table_size: int = dd.DEFAULT_COMPUTE_TABLE_SIZE,
     gc_threshold: int = dd.DEFAULT_GC_THRESHOLD,
 ) -> RunResult:
     """Rewrite, then simulate; raises SimulationTimeout past the deadline."""
@@ -94,11 +87,7 @@ def run(
     try:
         t0 = perf_counter()
         deadline = t0 + timeout_s if timeout_s is not None else None
-        pkg = dd.DDPackage(
-            circuit.num_qubits,
-            compute_table_size=compute_table_size,
-            gc_threshold=gc_threshold,
-        )
+        pkg = dd.DDPackage(circuit.num_qubits, gc_threshold=gc_threshold)
         pkg.deadline = deadline
 
         state = pkg.basis_state("0" * circuit.num_qubits)

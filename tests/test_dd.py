@@ -250,22 +250,24 @@ def test_memoization_is_consistent_with_recomputation():
         assert np.max(np.abs(to_statevector(st, n) - to_statevector(stc, n))) < 1e-10
 
 
-def test_tiny_compute_table_still_correct():
-    # collisions overwrite entries; results must not change
+def test_full_compute_tables_clear_and_stay_correct(monkeypatch):
+    limit = 8
+    monkeypatch.setattr(dd, "COMPUTE_TABLE_LIMIT", limit)
     rng = random.Random(5)
+    cleared = False
     for _ in range(5):
         c = random_circuit(rng, max_qubits=4, max_depth=20)
         n = c.num_qubits
-        pkg = DDPackage(n, compute_table_size=16)
+        pkg = DDPackage(n)
         st = pkg.basis_state("0" * n)
         for g in c.gates:
+            before = len(pkg._mul_cache) + len(pkg._add_cache)
             st = pkg.apply(pkg.gate_dd(g), st)
+            assert len(pkg._mul_cache) <= limit and len(pkg._add_cache) <= limit
+            cleared = cleared or len(pkg._mul_cache) + len(pkg._add_cache) < before
+        assert pkg.gc_runs == 0
         assert max_abs_diff(simulate_dense(c), to_statevector(st, n)) < 1e-9
-
-
-def test_compute_table_size_must_be_power_of_two():
-    with pytest.raises(ValueError):
-        DDPackage(2, compute_table_size=1000)
+    assert cleared, "no compute table ever filled up"
 
 
 # ---------------------------------------------------------------- norms, vectors
@@ -370,6 +372,23 @@ def test_deadline_aborts_long_apply():
     with pytest.raises(SimulationTimeout):
         for g in c.gates:
             st = pkg.apply(pkg.gate_dd(g), st)
+
+
+def test_deadline_aborts_long_add():
+    # the sum of two 16-qubit QFT outputs recurses through ~2^16 distinct weight pairs
+    n = 16
+    pkg = DDPackage(n)
+    from qdd.generators import qft
+
+    outs = []
+    for bits in ("0" * n, "0" * (n - 1) + "1"):
+        st = pkg.basis_state(bits)
+        for g in qft(n, True).gates:
+            st = pkg.apply(pkg.gate_dd(g), st)
+        outs.append(st)
+    pkg.deadline = 0.001  # already in the past
+    with pytest.raises(SimulationTimeout):
+        pkg.add(*outs)
 
 
 # ---------------------------------------------------------------- statevector export
