@@ -48,11 +48,12 @@ def _read_source(path: str) -> tuple[str, str]:
 def _parse_sizes(text: str) -> list[int]:
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad size range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",")]
+        sizes = list(range(int(lo_s), int(hi_s) + 1))
+    else:
+        sizes = [int(part) for part in text.split(",")]
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"bad size range {text!r}")
+    return sizes
 
 
 def _parse_modes(text: str) -> list[ReorderMode]:

@@ -29,8 +29,8 @@ recursion combine subdiagrams under many distinct weight products, each sum
 new to the memo; that is the work the swap-elimination rewrite saves.
 
 Garbage collection is explicit: nodes carry a reference count used to pin
-roots, and a mark-and-sweep pass runs when the unique tables grow past a
-high-water mark (or on request), dropping dead nodes and clearing the
+roots, and a mark-and-sweep pass runs when the unique tables grow past
+GC_THRESHOLD nodes (or on request), dropping dead nodes and clearing the
 compute tables.
 """
 
@@ -46,7 +46,7 @@ EPS = 1e-12
 _INV_EPS = 1.0 / EPS
 
 COMPUTE_TABLE_LIMIT = 1 << 20
-DEFAULT_GC_THRESHOLD = 1 << 22
+GC_THRESHOLD = 1 << 22
 
 _C0 = complex(0.0, 0.0)
 _C1 = complex(1.0, 0.0)
@@ -95,16 +95,10 @@ def _is_matrix_edge(e: Edge) -> bool:
 class DDPackage:
     """Unique tables, compute tables, and operations for one register size."""
 
-    def __init__(
-        self,
-        num_qubits: int,
-        *,
-        gc_threshold: int = DEFAULT_GC_THRESHOLD,
-    ) -> None:
+    def __init__(self, num_qubits: int) -> None:
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
         self.num_qubits = num_qubits
-        self.gc_threshold = gc_threshold
         self.node_count = 0
         self.gc_runs = 0
         self.deadline: float | None = None
@@ -212,38 +206,29 @@ class DDPackage:
         u = gate_unitary(gate)
         k = len(wires)
         # wires[0] is the most significant bit of the small unitary's index
-        bitpos = {w: k - 1 - i for i, w in enumerate(wires)}
-        entries = [[complex(u[r, c]) for c in range(1 << k)] for r in range(1 << k)]
-        memo: dict[tuple[int, int, int], Edge] = {}
-
-        def build(level: int, r: int, c: int) -> Edge:
-            if level == n:
-                return Edge(entries[r][c], TERMINAL)
-            key = (level, r, c)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            pos = bitpos.get(level)
-            if pos is None:
-                e = build(level + 1, r, c)
-                res = self._norm_intern(level, [e, ZERO, ZERO, e])
+        bit = {w: 1 << (k - 1 - i) for i, w in enumerate(wires)}
+        lowest = max(wires)
+        # the identity below the lowest wire is one chain, shared by every entry
+        chain = ONE
+        for level in range(n - 1, lowest, -1):
+            chain = self._norm_intern(level, [chain, ZERO, ZERO, chain])
+        # blocks[r, c] spans the levels already walked (at first, the chain);
+        # r, c hold the row/column bits of the wires not yet folded in
+        size = 1 << k
+        blocks = {(r, c): Edge(complex(u[r, c]), chain.node) for r in range(size) for c in range(size)}
+        for level in range(lowest, -1, -1):
+            b = bit.get(level)
+            if b is None:
+                blocks = {rc: self._norm_intern(level, [e, ZERO, ZERO, e]) for rc, e in blocks.items()}
             else:
-                bit = 1 << pos
-                res = self._norm_intern(
-                    level,
-                    [
-                        build(level + 1, r, c),
-                        build(level + 1, r, c | bit),
-                        build(level + 1, r | bit, c),
-                        build(level + 1, r | bit, c | bit),
-                    ],
-                )
-            memo[key] = res
-            return res
-
-        root = build(0, 0, 0)
-        del build  # the closure refers to itself; unlink it so refcounting frees it
-        return root
+                blocks = {
+                    (r, c): self._norm_intern(
+                        level, [e, blocks[r, c | b], blocks[r | b, c], blocks[r | b, c | b]]
+                    )
+                    for (r, c), e in blocks.items()
+                    if not (r | c) & b
+                }
+        return blocks[0, 0]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -387,7 +372,7 @@ class DDPackage:
 
     def maybe_collect(self, roots: tuple[Edge, ...] = ()) -> int:
         """Run collect_garbage only past the high-water mark; returns reclaimed count."""
-        if self.node_count > self.gc_threshold:
+        if self.node_count > GC_THRESHOLD:
             return self.collect_garbage(roots)
         return 0
 

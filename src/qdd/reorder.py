@@ -54,39 +54,29 @@ def permute_bits(perm: QubitPermutation, bits: str) -> str:
     return "".join(out)
 
 
-def _swap_wires(mapping: list[int], gate: Gate) -> None:
-    a, b = gate.targets
-    mapping[a], mapping[b] = mapping[b], mapping[a]
-
-
 def reorder(circuit: Circuit, mode: ReorderMode) -> tuple[Circuit, ReorderReport]:
     """Apply the pass; returns the transformed circuit and a report."""
     mode = ReorderMode(mode)
     n = circuit.num_qubits
-    identity = QubitPermutation.identity(n)
+    gates = circuit.gates
+    perm = QubitPermutation.identity(n)
     if mode is ReorderMode.NONE:
-        return circuit, ReorderReport(0, identity, mode)
+        return circuit, ReorderReport(0, perm, mode)
 
+    # SWAPs from index `first` on are deleted: all of them, or the trailing run
+    first = 0
     if mode is ReorderMode.TRAILING:
-        cut = len(circuit.gates)
-        while cut > 0 and circuit.gates[cut - 1].kind is GateKind.SWAP:
-            cut -= 1
-        kept = circuit.gates[:cut]
-        mapping = list(range(n))
-        for g in circuit.gates[cut:]:
-            _swap_wires(mapping, g)
-        pass_perm = QubitPermutation(tuple(mapping))
-        total = circuit.output_permutation.then(pass_perm)
-        report = ReorderReport(len(circuit.gates) - cut, pass_perm, mode)
-        return Circuit(n, kept, total), report
+        first = len(gates)
+        while first > 0 and gates[first - 1].kind is GateKind.SWAP:
+            first -= 1
 
     mapping = list(range(n))
-    perm = identity
     removed = 0
     out: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind is GateKind.SWAP:
-            _swap_wires(mapping, g)
+    for i, g in enumerate(gates):
+        if i >= first and g.kind is GateKind.SWAP:
+            a, b = g.targets
+            mapping[a], mapping[b] = mapping[b], mapping[a]
             perm = QubitPermutation(tuple(mapping))
             removed += 1
         elif perm.is_identity:
@@ -94,5 +84,4 @@ def reorder(circuit: Circuit, mode: ReorderMode) -> tuple[Circuit, ReorderReport
         else:
             out.append(relabel_gate(g, perm))
     total = circuit.output_permutation.then(perm)
-    report = ReorderReport(removed, perm, mode)
-    return Circuit(n, tuple(out), total), report
+    return Circuit(n, tuple(out), total), ReorderReport(removed, perm, mode)

@@ -73,7 +73,6 @@ def run(
     mode: ReorderMode = ReorderMode.NONE,
     *,
     timeout_s: float | None = None,
-    gc_threshold: int = dd.DEFAULT_GC_THRESHOLD,
 ) -> RunResult:
     """Rewrite, then simulate; raises SimulationTimeout past the deadline."""
     problems = validate(circuit)
@@ -87,7 +86,7 @@ def run(
     try:
         t0 = perf_counter()
         deadline = t0 + timeout_s if timeout_s is not None else None
-        pkg = dd.DDPackage(circuit.num_qubits, gc_threshold=gc_threshold)
+        pkg = dd.DDPackage(circuit.num_qubits)
         pkg.deadline = deadline
 
         state = pkg.basis_state("0" * circuit.num_qubits)
@@ -142,13 +141,11 @@ def bench(
     modes: list[ReorderMode],
     *,
     timeout_s: float = 120.0,
-    oracle_check: bool = False,
 ) -> list[BenchRow]:
     """One row per (size, mode), each on a fresh package.
 
     A timed-out row reports status "timeout" with blank measurements; other
-    rows are measured normally. oracle_check cross-validates every finished
-    row against dense simulation and is meant for small sizes only.
+    rows are measured normally.
     """
     rows: list[BenchRow] = []
     for n in sizes:
@@ -159,15 +156,6 @@ def bench(
             except dd.SimulationTimeout:
                 rows.append(BenchRow(family, n, mode, "timeout", None, None, None, None, None))
                 continue
-            if oracle_check:
-                from .oracle import max_abs_diff, simulate_dense
-
-                reference = simulate_dense(circuit)
-                err = max_abs_diff(reference, result.statevector())
-                if err > 1e-9:
-                    raise AssertionError(
-                        f"bench oracle check failed: {family} n={n} mode={mode.value} err={err:.3e}"
-                    )
             s = result.stats
             rows.append(
                 BenchRow(

@@ -164,8 +164,9 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert info.value.code == EXIT_USAGE
 
 
-def test_bad_qubit_range_is_usage_error(capsys):
+@pytest.mark.parametrize("qubits", ["9..3", "0", "0,3"])
+def test_bad_qubit_range_is_usage_error(capsys, qubits):
     code, _, err = run_cli(
-        capsys, "bench", "--family", "qpe", "--qubits", "9..3", "--reorder", "all"
+        capsys, "bench", "--family", "qpe", "--qubits", qubits, "--reorder", "all"
     )
     assert code == EXIT_USAGE and "range" in err

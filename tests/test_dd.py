@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qdd import dd
-from qdd.circuit import Circuit, cp, cx, dagger, gate_unitary, h, mcp, p, swap, x
+from qdd.circuit import Circuit, cp, cx, dagger, gate_unitary, h, mcp, p, rz, swap, x, y
 from qdd.dd import (
     DDPackage,
     Edge,
@@ -156,6 +156,37 @@ def test_gate_dd_all_gates_match_dense_oracle():
         for gg in c.gates:
             st = pkg.apply(pkg.gate_dd(gg), st)
         assert max_abs_diff(simulate_dense(c), to_statevector(st, 3)) < 1e-12, g.kind
+
+
+def test_gate_dd_full_operator_matches_embedded_unitary():
+    # identity levels above, between and below the gate's wires; Y is the one
+    # gate whose unitary is not symmetric, so it catches a row/column mix-up
+    n = 5
+    theta = 0.9
+    gates = [
+        h(2), cp(theta, 4, 0), cp(theta, 0, 4), cx(3, 1), swap(4, 1),
+        mcp(theta, [3, 0], 2), rz(theta, 0), y(3),
+    ]
+
+    def bit(i, q):
+        return (i >> (n - 1 - q)) & 1
+
+    def local(i, wires):  # index into the gate's unitary: wires[0] is its MSB
+        return sum(bit(i, w) << (len(wires) - 1 - j) for j, w in enumerate(wires))
+
+    for g in gates:
+        u = gate_unitary(g)
+        others = [q for q in range(n) if q not in g.wires]
+        dense = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+        for r in range(1 << n):
+            for c in range(1 << n):
+                if all(bit(r, q) == bit(c, q) for q in others):
+                    dense[r, c] = u[local(r, g.wires), local(c, g.wires)]
+        pkg = DDPackage(n)
+        op = pkg.gate_dd(g)
+        for c in range(1 << n):
+            col = to_statevector(pkg.apply(op, pkg.basis_state(format(c, f"0{n}b"))), n)
+            assert np.max(np.abs(col - dense[:, c])) < 1e-12, (g, c)
 
 
 def test_gate_inverse_roundtrip_returns_same_state():
@@ -348,8 +379,9 @@ def test_gc_then_new_constructions_still_canonical():
     assert again.node is st.node
 
 
-def test_maybe_collect_honors_threshold():
-    pkg = DDPackage(4, gc_threshold=1)
+def test_maybe_collect_honors_threshold(monkeypatch):
+    monkeypatch.setattr(dd, "GC_THRESHOLD", 1)
+    pkg = DDPackage(4)
     st = pkg.basis_state("0000")
     pkg.inc_ref(st)
     _ = pkg.basis_state("1111")

@@ -88,9 +88,10 @@ def test_released_result_is_freed_by_reference_counting():
     assert package() is None
 
 
-def test_gc_triggers_during_run():
+def test_gc_triggers_during_run(monkeypatch):
+    monkeypatch.setattr(dd, "GC_THRESHOLD", 64)
     c = build_family("entangled_qft", 6)
-    result = run(c, ReorderMode.NONE, gc_threshold=64)
+    result = run(c, ReorderMode.NONE)
     assert result.package.gc_runs > 0
     assert max_abs_diff(simulate_dense(c), result.statevector()) < 1e-9
 
@@ -120,11 +121,6 @@ def test_bench_timeout_row_is_recorded_not_raised():
     assert len(rows) == 1
     assert rows[0].status == "timeout"
     assert rows[0].wall_time_s is None
-
-
-def test_bench_oracle_check_mode():
-    rows = bench("qpe", [4], [ReorderMode.NONE, ReorderMode.ALL], oracle_check=True)
-    assert all(r.status == "ok" for r in rows)
 
 
 def test_wall_time_is_positive_and_reported():
