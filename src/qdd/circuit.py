@@ -216,6 +216,8 @@ def validate(circuit: Circuit) -> list[Violation]:
         if g.kind is GateKind.MCP:
             if len(g.controls) < 1 or len(g.targets) != 1:
                 out.append(Violation(i, f"mcp needs >=1 control and 1 target, got {g.controls}/{g.targets}"))
+            elif len(g.wires) > MAX_UNITARY_WIRES:
+                out.append(Violation(i, f"mcp over {len(g.wires)} wires exceeds the {MAX_UNITARY_WIRES}-wire dense limit"))
         else:
             nc, nt = _ARITY[g.kind]
             if len(g.controls) != nc or len(g.targets) != nt:

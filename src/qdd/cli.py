@@ -81,7 +81,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         print(f"sim: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        program = qasm.parse(source, name)
+        program = qasm.parse(source)
     except qasm.QasmError as exc:
         print(f"sim: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -207,7 +207,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"verify: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        program = qasm.parse(source, name)
+        program = qasm.parse(source)
     except qasm.QasmError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,7 @@
 """Edge-weighted decision diagrams over complex amplitudes.
 
-State vectors and operator matrices are stored as canonical DAGs. Vector
+State vectors and operator matrices are stored as canonical DAGs. An edge
+is a plain `(weight, node)` tuple, read by index or unpacking. Vector
 nodes carry two successor edges (the |0> and |1> branch of one qubit),
 matrix nodes four in row-major order (00, 01, 10, 11). Qubit 0 is the most
 significant bit of a basis index and the topmost level; a nonzero successor
@@ -36,9 +37,7 @@ compute tables.
 
 from __future__ import annotations
 
-import sys
 from time import perf_counter
-from typing import NamedTuple
 
 from .circuit import Gate, gate_unitary
 
@@ -72,24 +71,19 @@ class Node:
         return f"<node level={self.level} arity={len(self.edges)} at {id(self):#x}>"
 
 
-class Edge(NamedTuple):
-    """Weighted pointer into the DAG; the unit of every public operation."""
-
-    weight: complex
-    node: Node
-
+Edge = tuple[complex, Node]  # (weight, node), the unit of every operation
 
 TERMINAL = Node(-1, ())
-ZERO = Edge(_C0, TERMINAL)
-ONE = Edge(_C1, TERMINAL)
+ZERO = (_C0, TERMINAL)
+ONE = (_C1, TERMINAL)
 
 
 def _is_vector_edge(e: Edge) -> bool:
-    return e.node is TERMINAL or len(e.node.edges) == 2
+    return e[1] is TERMINAL or len(e[1].edges) == 2
 
 
 def _is_matrix_edge(e: Edge) -> bool:
-    return e.node is TERMINAL or len(e.node.edges) == 4
+    return e[1] is TERMINAL or len(e[1].edges) == 4
 
 
 class DDPackage:
@@ -106,10 +100,6 @@ class DDPackage:
         self._mul_cache: dict = {}
         self._add_cache: dict = {}
         self._tick = 0
-        # apply/add recurse one frame set per level
-        limit = 4 * num_qubits + 200
-        if sys.getrecursionlimit() < limit:
-            sys.setrecursionlimit(limit)
 
     # -- node construction -------------------------------------------------
 
@@ -127,7 +117,7 @@ class DDPackage:
                 break
         if pidx < 0:
             return ZERO
-        edges[pidx] = Edge(_C1, edges[pidx][1])
+        edges[pidx] = (_C1, edges[pidx][1])
         for i in range(pidx + 1, len(edges)):
             e = edges[i]
             w = e[0]
@@ -138,7 +128,7 @@ class DDPackage:
             if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
                 edges[i] = ZERO
             else:
-                edges[i] = Edge(w, e[1])
+                edges[i] = (w, e[1])
         key_parts = []
         for e in edges:
             w = e[0]
@@ -152,14 +142,15 @@ class DDPackage:
             node = Node(level, tuple(edges))
             table[key] = node
             self.node_count += 1
-        return Edge(pivot, node)
+        return (pivot, node)
 
     def _check_child(self, level: int, e: Edge) -> None:
-        if e.node is TERMINAL:
-            if e.weight != 0 and level != self.num_qubits - 1:
+        w, node = e
+        if node is TERMINAL:
+            if w != 0 and level != self.num_qubits - 1:
                 raise ValueError(f"nonzero edge to terminal from non-bottom level {level}")
-        elif e.node.level != level + 1:
-            raise ValueError(f"successor of level {level} must sit at level {level + 1}, got {e.node.level}")
+        elif node.level != level + 1:
+            raise ValueError(f"successor of level {level} must sit at level {level + 1}, got {node.level}")
 
     def make_vector_node(self, level: int, e0: Edge, e1: Edge) -> Edge:
         """Intern a vector node with the given |0>/|1> successors."""
@@ -215,7 +206,7 @@ class DDPackage:
         # blocks[r, c] spans the levels already walked (at first, the chain);
         # r, c hold the row/column bits of the wires not yet folded in
         size = 1 << k
-        blocks = {(r, c): Edge(complex(u[r, c]), chain.node) for r in range(size) for c in range(size)}
+        blocks = {(r, c): (complex(u[r, c]), chain[1]) for r in range(size) for c in range(size)}
         for level in range(lowest, -1, -1):
             b = bit.get(level)
             if b is None:
@@ -234,10 +225,11 @@ class DDPackage:
 
     def add(self, a: Edge, b: Edge) -> Edge:
         """Pointwise sum of two vector DDs (or two matrix DDs)."""
-        if a.weight != 0 and b.weight != 0 and a.node is not TERMINAL and b.node is not TERMINAL:
-            if len(a.node.edges) != len(b.node.edges):
+        (wa, na), (wb, nb) = a, b
+        if wa != 0 and wb != 0 and na is not TERMINAL and nb is not TERMINAL:
+            if len(na.edges) != len(nb.edges):
                 raise TypeError("cannot add a vector DD to a matrix DD")
-            if a.node.level != b.node.level:
+            if na.level != nb.level:
                 raise ValueError("operands must be rooted at the same level")
         return self._add(a, b)
 
@@ -254,7 +246,7 @@ class DDPackage:
             w = wa + wb
             if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
                 return ZERO
-            return Edge(w, na)
+            return (w, na)
         if id(nb) < id(na):
             na, nb = nb, na
             wa, wb = wb, wa
@@ -272,7 +264,7 @@ class DDPackage:
         for i in range(len(ea_children)):
             ca = ea_children[i]
             cb = eb_children[i]
-            parts.append(self._add(Edge(wa * ca[0], ca[1]), Edge(wb * cb[0], cb[1])))
+            parts.append(self._add((wa * ca[0], ca[1]), (wb * cb[0], cb[1])))
         res = self._norm_intern(na.level, parts)
         if len(cache) >= COMPUTE_TABLE_LIMIT:
             cache.clear()
@@ -281,9 +273,10 @@ class DDPackage:
 
     def apply(self, op: Edge, state: Edge) -> Edge:
         """Multiply a matrix DD onto a vector DD."""
-        if op.weight != 0 and op.node is not TERMINAL and len(op.node.edges) != 4:
+        (wo, no), (ws, ns) = op, state
+        if wo != 0 and no is not TERMINAL and len(no.edges) != 4:
             raise TypeError("op must be a matrix DD")
-        if state.weight != 0 and state.node is not TERMINAL and len(state.node.edges) != 2:
+        if ws != 0 and ns is not TERMINAL and len(ns.edges) != 2:
             raise TypeError("state must be a vector DD")
         return self._mul(op, state)
 
@@ -297,7 +290,7 @@ class DDPackage:
         mn = em[1]
         vn = ev[1]
         if mn is TERMINAL:
-            return Edge(wm * wv, TERMINAL)
+            return (wm * wv, TERMINAL)
         self._tick = tick = self._tick + 1
         if not tick & 0x7FFF:
             self._check_deadline()
@@ -305,7 +298,7 @@ class DDPackage:
         cache = self._mul_cache
         r = cache.get(key)
         if r is not None:
-            return Edge(wm * wv * r[0], r[1])
+            return (wm * wv * r[0], r[1])
         m00, m01, m10, m11 = mn.edges
         v0, v1 = vn.edges
         r0 = self._add(self._mul(m00, v0), self._mul(m01, v1))
@@ -314,7 +307,7 @@ class DDPackage:
         if len(cache) >= COMPUTE_TABLE_LIMIT:
             cache.clear()
         cache[key] = res
-        return Edge(wm * wv * res[0], res[1])
+        return (wm * wv * res[0], res[1])
 
     def _check_deadline(self) -> None:
         d = self.deadline
@@ -331,19 +324,20 @@ class DDPackage:
 
     def inc_ref(self, edge: Edge) -> None:
         """Pin edge's root so collect_garbage treats it as live."""
-        if edge.node is not TERMINAL:
-            edge.node.ref += 1
+        if edge[1] is not TERMINAL:
+            edge[1].ref += 1
 
     def dec_ref(self, edge: Edge) -> None:
-        if edge.node is not TERMINAL:
-            if edge.node.ref <= 0:
+        node = edge[1]
+        if node is not TERMINAL:
+            if node.ref <= 0:
                 raise ValueError("dec_ref below zero")
-            edge.node.ref -= 1
+            node.ref -= 1
 
     def collect_garbage(self, roots: tuple[Edge, ...] = ()) -> int:
         """Mark from roots and ref-pinned nodes, sweep the rest; returns reclaimed count."""
         marked: set[int] = set()
-        stack = [e.node for e in roots if e.node is not TERMINAL]
+        stack = [e[1] for e in roots if e[1] is not TERMINAL]
         for table in self._unique:
             for node in table.values():
                 if node.ref > 0:
@@ -382,8 +376,7 @@ class DDPackage:
 
 def amplitude(edge: Edge, bits: str) -> complex:
     """Weight product along the path selected by bits (one char per level)."""
-    w = edge[0]
-    node = edge[1]
+    w, node = edge
     for ch in bits:
         if w.real == 0.0 and w.imag == 0.0:
             return _C0
@@ -401,10 +394,10 @@ def amplitude(edge: Edge, bits: str) -> complex:
 
 def count_nodes(edge: Edge) -> int:
     """Number of distinct nonterminal nodes reachable from edge."""
-    if edge.node is TERMINAL:
+    if edge[1] is TERMINAL:
         return 0
-    seen = {id(edge.node)}
-    stack = [edge.node]
+    seen = {id(edge[1])}
+    stack = [edge[1]]
     while stack:
         node = stack.pop()
         for e in node.edges:
@@ -420,39 +413,37 @@ def to_statevector(edge: Edge, num_qubits: int):
     import numpy as np
 
     out = np.zeros(1 << num_qubits, dtype=np.complex128)
-    if edge.weight == 0:
+    if edge[0] == 0:
         return out
-    stack = [(edge.node, complex(edge.weight), 0)]
+    stack = [(edge[1], complex(edge[0]), 0)]
     while stack:
         node, w, prefix = stack.pop()
         if node is TERMINAL:
             out[prefix] = w
             continue
         shift = num_qubits - 1 - node.level
-        for bit, e in enumerate(node.edges):
-            if e.weight != 0:
-                stack.append((e.node, w * e.weight, prefix | (bit << shift)))
+        for bit, (cw, child) in enumerate(node.edges):
+            if cw != 0:
+                stack.append((child, w * cw, prefix | (bit << shift)))
     return out
 
 
 def norm_squared(edge: Edge) -> float:
-    """Sum of |amplitude|^2 over all basis states, by memoized recursion."""
-    memo: dict[int, float] = {}
-
-    def node_sum(node: Node) -> float:
-        if node is TERMINAL:
-            return 1.0
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    """Sum of |amplitude|^2 over all basis states, by an iterative memoized post-order walk."""
+    sums: dict[int, float] = {id(TERMINAL): 1.0}
+    stack = [edge[1]]
+    while stack:
+        node = stack[-1]
+        mags = [(w.real * w.real + w.imag * w.imag, child) for w, child in node.edges]
+        pending = [child for mag, child in mags if mag and id(child) not in sums]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
         total = 0.0
-        for e in node.edges:
-            w = e[0]
-            mag = w.real * w.real + w.imag * w.imag
+        for mag, child in mags:
             if mag:
-                total += mag * node_sum(e[1])
-        memo[id(node)] = total
-        return total
-
-    w = edge.weight
-    return (w.real * w.real + w.imag * w.imag) * node_sum(edge.node)
+                total += mag * sums[id(child)]
+        sums[id(node)] = total
+    w = edge[0]
+    return (w.real * w.real + w.imag * w.imag) * sums[id(edge[1])]

@@ -53,7 +53,6 @@ class ParsedProgram:
 
     circuit: Circuit
     ignored_statements: tuple[tuple[int, str], ...] = ()
-    source_name: str = "<qasm>"
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,7 @@ class _ExprParser:
 
 
 class _Parser:
-    def __init__(self, text: str, source_name: str) -> None:
-        self.source_name = source_name
+    def __init__(self, text: str) -> None:
         tokens, self.perm = _tokenize(text)
         self.statements = _split_statements(tokens)
         self.qreg_name: str | None = None
@@ -235,7 +233,7 @@ class _Parser:
         problems = validate(circuit)
         if problems:
             raise QasmError(f"parsed circuit fails validation: {problems[0]}")
-        return ParsedProgram(circuit, tuple(self.ignored), self.source_name)
+        return ParsedProgram(circuit, tuple(self.ignored))
 
     def _header(self, stmt: list[_Token]) -> None:
         if stmt[0].value != "OPENQASM":
@@ -396,9 +394,9 @@ class _Parser:
         raise QasmError(f"unknown gate {name!r}", head.line, head.column)
 
 
-def parse(text: str, source_name: str = "<qasm>") -> ParsedProgram:
+def parse(text: str) -> ParsedProgram:
     """Parse a QASM program in the supported subset."""
-    return _Parser(text, source_name).parse()
+    return _Parser(text).parse()
 
 
 def _format_gate(gate: Gate) -> str:

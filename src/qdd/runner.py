@@ -12,17 +12,19 @@ Peak nodes is sampled from the package's live-node counter after every gate,
 which bounds the true in-flight peak from below but is exact for the
 between-gate states that dominate memory.
 
-Python's cyclic garbage collector is suspended for the simulation and
-restored afterwards. The package frees nodes itself (reference pins plus its
-own mark-and-sweep), and nodes form no reference cycles, so the collector's
-repeated full passes over the unique and compute tables would only add work
-that grows with the live heap, not with what the circuit asks for. The one
-young-generation pass over what the run made is timed as part of the run.
+Python's cyclic garbage collector is suspended, and the interpreter's
+recursion limit raised, for the simulation only. The package frees nodes
+itself (reference pins plus its own mark-and-sweep), and nodes form no
+reference cycles, so the collector's repeated full passes over the unique and
+compute tables would only add work that grows with the live heap, not with
+what the circuit asks for. The one young-generation pass over what the run
+made is timed as part of the run.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -83,6 +85,9 @@ def run(
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
+    # apply/add recurse one frame set per level
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 4 * circuit.num_qubits + 200))
     try:
         t0 = perf_counter()
         deadline = t0 + timeout_s if timeout_s is not None else None
@@ -104,6 +109,7 @@ def run(
                 peak = pkg.node_count
             pkg.maybe_collect((state,))
     finally:
+        sys.setrecursionlimit(old_limit)
         if gc_was_enabled:
             gc.enable()
             # the young generation holds every object the run made; its one

@@ -296,9 +296,9 @@ def test_criterion_7_canonicity_and_numerics():
     pkg = DDPackage(3)
     st1 = pkg.basis_state("010")
     st2 = pkg.basis_state("010")
-    ok = st1.node is st2.node
+    ok = st1[1] is st2[1]
     h_op = pkg.gate_dd(_h0())
-    ok = ok and pkg.apply(h_op, st1).node is pkg.apply(h_op, st2).node
+    ok = ok and pkg.apply(h_op, st1)[1] is pkg.apply(h_op, st2)[1]
 
     # unitarity of every gate matrix to 1e-12
     import numpy as np

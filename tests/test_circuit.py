@@ -75,6 +75,14 @@ def test_validate_rejects(gates, fragment):
     assert any(fragment in str(v) for v in problems)
 
 
+def test_validate_rejects_mcp_wider_than_dense_limit():
+    k = MAX_UNITARY_WIRES + 1
+    problems = validate(Circuit(k, (mcp(0.1, range(k - 1), k - 1),)))
+    assert [v.gate_index for v in problems] == [0]
+    assert "mcp over 13 wires" in str(problems[0])
+    assert validate(Circuit(k - 1, (mcp(0.1, range(k - 2), k - 2),))) == []
+
+
 def test_validate_rejects_nonpositive_register():
     problems = validate(Circuit(0, ()))
     assert problems and "num_qubits" in str(problems[0])

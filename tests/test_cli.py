@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -90,6 +91,28 @@ def test_sim_parse_error_reports_line(tmp_path, capsys):
     f.write_text("OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n")
     code, _, err = run_cli(capsys, "sim", str(f))
     assert code == EXIT_USAGE and "unknown gate" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("command", ["sim", "verify"])
+def test_mcp_wider_than_dense_limit_is_usage_error(tmp_path, capsys, command):
+    f = tmp_path / "wide.qasm"
+    wires = ",".join(f"q[{i}]" for i in range(13))
+    f.write_text(f"OPENQASM 2.0;\nqreg q[13];\nmcp(pi) {wires};\n")
+    code, _, err = run_cli(capsys, command, str(f))
+    assert code == EXIT_USAGE and "mcp" in err
+
+
+def test_sim_wider_than_the_recursion_limit(tmp_path, capsys):
+    # run() raises the limit only while it simulates; what sim does with the
+    # result afterwards must work under the caller's own limit
+    n = sys.getrecursionlimit()
+    f = tmp_path / "wide.qasm"
+    f.write_text(f"OPENQASM 2.0;\nqreg q[{n}];\nx q[0];\n")
+    code, out, _ = run_cli(capsys, "sim", str(f), "--json", "--query", "1" + "0" * (n - 1))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["norm"] == 1
+    assert payload["queries"][0]["probability"] == 1
 
 
 def test_sim_timeout_exit_code(tmp_path, capsys):

@@ -36,33 +36,33 @@ def pkg3():
 def test_identical_vector_nodes_intern_to_same_object(pkg3):
     a = pkg3.make_vector_node(2, dd.ONE, dd.ONE)
     b = pkg3.make_vector_node(2, dd.ONE, dd.ONE)
-    assert a.node is b.node
+    assert a[1] is b[1]
 
 
 def test_interning_tolerates_eps_noise(pkg3):
-    noisy = Edge(1.0 + 4e-13j, TERMINAL)
+    noisy = (1.0 + 4e-13j, TERMINAL)
     a = pkg3.make_vector_node(2, dd.ONE, noisy)
     b = pkg3.make_vector_node(2, dd.ONE, dd.ONE)
-    assert a.node is b.node
+    assert a[1] is b[1]
 
 
 def test_symmetric_children_normalize_to_unit_first_edge(pkg3):
     # equal children keep weight 1 on the edge; the split factor lives upstream
     e = pkg3.make_vector_node(2, dd.ONE, dd.ONE)
-    assert e.weight == 1
-    assert e.node.edges[0].weight == 1
-    assert e.node.edges[1].weight == 1
+    assert e[0] == 1
+    assert e[1].edges[0][0] == 1
+    assert e[1].edges[1][0] == 1
 
 
 def test_first_nonzero_successor_gets_weight_exactly_one(pkg3):
-    e = pkg3.make_vector_node(2, Edge(0.3 + 0.1j, TERMINAL), Edge(-0.2j, TERMINAL))
-    assert e.node.edges[0].weight == 1
-    assert e.weight == pytest.approx(0.3 + 0.1j)
+    e = pkg3.make_vector_node(2, (0.3 + 0.1j, TERMINAL), (-0.2j, TERMINAL))
+    assert e[1].edges[0][0] == 1
+    assert e[0] == pytest.approx(0.3 + 0.1j)
     # zero first child: pivot moves to the second successor
-    e = pkg3.make_vector_node(2, ZERO, Edge(0.5j, TERMINAL))
-    assert e.node.edges[0] == ZERO
-    assert e.node.edges[1].weight == 1
-    assert e.weight == pytest.approx(0.5j)
+    e = pkg3.make_vector_node(2, ZERO, (0.5j, TERMINAL))
+    assert e[1].edges[0] == ZERO
+    assert e[1].edges[1][0] == 1
+    assert e[0] == pytest.approx(0.5j)
 
 
 def test_all_zero_children_collapse_to_zero_edge(pkg3):
@@ -73,7 +73,7 @@ def test_all_zero_children_collapse_to_zero_edge(pkg3):
 
 
 def test_near_zero_weights_snap_to_canonical_zero(pkg3):
-    tiny = Edge(1e-14 + 1e-15j, TERMINAL)
+    tiny = (1e-14 + 1e-15j, TERMINAL)
     e = pkg3.make_vector_node(2, tiny, tiny)
     assert e == ZERO
 
@@ -140,8 +140,8 @@ def test_identity_apply_returns_same_node(pkg3):
         st = pkg.apply(pkg.gate_dd(g), st)
     eye = pkg.gate_dd(p(0.0, 0))
     out = pkg.apply(eye, st)
-    assert out.node is st.node
-    assert out.weight == pytest.approx(st.weight, abs=1e-12)
+    assert out[1] is st[1]
+    assert out[0] == pytest.approx(st[0], abs=1e-12)
 
 
 def test_gate_dd_all_gates_match_dense_oracle():
@@ -198,8 +198,8 @@ def test_gate_inverse_roundtrip_returns_same_state():
     for g in kinds:
         fwd = pkg.apply(pkg.gate_dd(g), st)
         back = pkg.apply(pkg.gate_dd(dagger(g)), fwd)
-        assert back.node is st.node
-        assert back.weight == pytest.approx(st.weight, abs=1e-9)
+        assert back[1] is st[1]
+        assert back[0] == pytest.approx(st[0], abs=1e-9)
 
 
 def test_gate_dd_rejects_out_of_range_wires(pkg3):
@@ -376,7 +376,7 @@ def test_gc_then_new_constructions_still_canonical():
     pkg.inc_ref(st)
     pkg.collect_garbage()
     again = pkg.basis_state("000")
-    assert again.node is st.node
+    assert again[1] is st[1]
 
 
 def test_maybe_collect_honors_threshold(monkeypatch):

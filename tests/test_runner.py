@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import weakref
 
 import numpy as np
@@ -79,6 +80,22 @@ def test_run_restores_the_cyclic_gc():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_run_restores_the_recursion_limit():
+    old = sys.getrecursionlimit()
+    # apply recurses once per level, so this only finishes under a raised limit
+    wide = Circuit(old, (x(0),))
+    try:
+        result = run(wide)
+        assert sys.getrecursionlimit() == old
+        assert result.amplitude("1" + "0" * (old - 1)) == 1
+        assert dd.norm_squared(result.final_state) == 1
+        with pytest.raises(dd.SimulationTimeout):
+            run(wide, timeout_s=0.0)
+        assert sys.getrecursionlimit() == old
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_released_result_is_freed_by_reference_counting():
