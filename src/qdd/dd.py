@@ -1,22 +1,33 @@
 """Edge-weighted decision diagrams over complex amplitudes.
 
 State vectors and operator matrices are stored as canonical DAGs. An edge
-is a plain `(weight, node)` tuple, read by index or unpacking. Vector
-nodes carry two successor edges (the |0> and |1> branch of one qubit),
-matrix nodes four in row-major order (00, 01, 10, 11). Qubit 0 is the most
-significant bit of a basis index and the topmost level; a nonzero successor
-of a level-q node sits exactly at level q+1, or at the terminal when q is
-the bottom level. The amplitude of a basis state is the product of edge
-weights along the corresponding root-to-terminal path.
+is a plain `(weight, node)` tuple, read by index or unpacking. A node's
+successors are one flat tuple of weights and nodes: `(w0, n0, w1, n1)` for a
+vector node (the |0> and |1> branch of one qubit), and
+`(w00, n00, w01, n01, w10, n10, w11, n11)` for a matrix node, in row-major
+order. Qubit 0 is the most significant bit of a basis index and the topmost
+level; a nonzero successor of a level-q node sits exactly at level q+1, or
+at the terminal when q is the bottom level. The amplitude of a basis state
+is the product of edge weights along the corresponding root-to-terminal path.
 
 Canonical form: a node's successor weights are divided by the first nonzero
 successor weight, which is pulled onto the incoming edge, so that first
 nonzero successor weight is exactly 1. Successor weights within EPS of zero
-(per real/imag component) are snapped to the canonical zero edge
+(per real/imag component) are snapped to the canonical zero slot
 (weight 0, terminal), and a node whose successors are all zero collapses to
 the zero edge itself. Structurally identical nodes, with weights compared
 after rounding each component to EPS-wide buckets, are interned in a
 per-level unique table, so equality of subdiagrams is object identity.
+Vector nodes go through one arity-2 routine that builds the unique-table
+key directly; matrix nodes through a general one with the same key layout.
+
+The multiply and add recursions take each operand's weight and node as
+separate arguments and return one `(weight, node)` edge, so no edge tuple is
+built to pass an operand down. Multiplication skips zero matrix slots (a
+diagonal gate or an identity wrapper has two per node), and stops at an
+identity-chain node: `gate_dd` shares one identity chain below a gate's
+lowest wire and records its nodes, and the product of such a node with a
+vector node is that vector node, scaled.
 
 Operation results are memoized in two dicts, each bounded at
 COMPUTE_TABLE_LIMIT entries and cleared wholesale when an insert finds it
@@ -32,11 +43,12 @@ new to the memo; that is the work the swap-elimination rewrite saves.
 Garbage collection is explicit: nodes carry a reference count used to pin
 roots, and a mark-and-sweep pass runs when the unique tables grow past
 GC_THRESHOLD nodes (or on request), dropping dead nodes and clearing the
-compute tables.
+compute tables and the identity-chain set.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from time import perf_counter
 
 from .circuit import Gate, gate_unitary
@@ -49,6 +61,7 @@ GC_THRESHOLD = 1 << 22
 
 _C0 = complex(0.0, 0.0)
 _C1 = complex(1.0, 0.0)
+_KEY_ONE = round(_C1.real * _INV_EPS)  # key of a pivot slot's real part
 
 
 class SimulationTimeout(RuntimeError):
@@ -68,7 +81,7 @@ class Node:
     def __repr__(self) -> str:  # debugging aid only
         if self is TERMINAL:
             return "<terminal>"
-        return f"<node level={self.level} arity={len(self.edges)} at {id(self):#x}>"
+        return f"<node level={self.level} arity={len(self.edges) // 2} at {id(self):#x}>"
 
 
 Edge = tuple[complex, Node]  # (weight, node), the unit of every operation
@@ -76,14 +89,15 @@ Edge = tuple[complex, Node]  # (weight, node), the unit of every operation
 TERMINAL = Node(-1, ())
 ZERO = (_C0, TERMINAL)
 ONE = (_C1, TERMINAL)
+_ID_TERMINAL = id(TERMINAL)
 
 
 def _is_vector_edge(e: Edge) -> bool:
-    return e[1] is TERMINAL or len(e[1].edges) == 2
+    return e[1] is TERMINAL or len(e[1].edges) == 4
 
 
 def _is_matrix_edge(e: Edge) -> bool:
-    return e[1] is TERMINAL or len(e[1].edges) == 4
+    return e[1] is TERMINAL or len(e[1].edges) == 8
 
 
 class DDPackage:
@@ -99,12 +113,40 @@ class DDPackage:
         self._unique: list[dict] = [dict() for _ in range(num_qubits)]
         self._mul_cache: dict = {}
         self._add_cache: dict = {}
+        self._identity: set[Node] = set()  # identity-chain nodes built by gate_dd
         self._tick = 0
 
     # -- node construction -------------------------------------------------
 
+    def _intern2(self, level: int, w0: complex, n0: Node, w1: complex, n1: Node) -> Edge:
+        """Normalize and intern a vector node; the arity-2 case of _norm_intern, same keys."""
+        if -EPS <= w0.real <= EPS and -EPS <= w0.imag <= EPS:
+            if -EPS <= w1.real <= EPS and -EPS <= w1.imag <= EPS:
+                return ZERO
+            pivot = w1
+            key = (0, 0, _ID_TERMINAL, _KEY_ONE, 0, id(n1))
+            w0, n0, w1 = _C0, TERMINAL, _C1
+        else:
+            pivot = w0
+            w0 = _C1
+            if w1:
+                w1 = w1 / pivot
+                if -EPS <= w1.real <= EPS and -EPS <= w1.imag <= EPS:
+                    w1 = _C0
+            if w1:
+                key = (_KEY_ONE, 0, id(n0), round(w1.real * _INV_EPS), round(w1.imag * _INV_EPS), id(n1))
+            else:
+                key = (_KEY_ONE, 0, id(n0), 0, 0, _ID_TERMINAL)
+                w1, n1 = _C0, TERMINAL
+        table = self._unique[level]
+        node = table.get(key)
+        if node is None:
+            node = table[key] = Node(level, (w0, n0, w1, n1))
+            self.node_count += 1
+        return (pivot, node)
+
     def _norm_intern(self, level: int, edges: list[Edge]) -> Edge:
-        """Normalize successor weights, snap near-zeros, intern the node."""
+        """Normalize successor weights, snap near-zeros, intern a matrix node."""
         pidx = -1
         pivot = _C0
         for i, e in enumerate(edges):
@@ -139,7 +181,7 @@ class DDPackage:
         table = self._unique[level]
         node = table.get(key)
         if node is None:
-            node = Node(level, tuple(edges))
+            node = Node(level, (*edges[0], *edges[1], *edges[2], *edges[3]))
             table[key] = node
             self.node_count += 1
         return (pivot, node)
@@ -160,7 +202,7 @@ class DDPackage:
             if not _is_vector_edge(e):
                 raise TypeError("vector node successors must be vector edges")
             self._check_child(level, e)
-        return self._norm_intern(level, [e0, e1])
+        return self._intern2(level, e0[0], e0[1], e1[0], e1[1])
 
     def make_matrix_node(self, level: int, e00: Edge, e01: Edge, e10: Edge, e11: Edge) -> Edge:
         """Intern a matrix node with row-major successors."""
@@ -177,13 +219,13 @@ class DDPackage:
         n = self.num_qubits
         if len(bits) != n or set(bits) - {"0", "1"}:
             raise ValueError(f"need a {n}-char bitstring of 0/1, got {bits!r}")
-        e = ONE
+        w, node = ONE
         for level in range(n - 1, -1, -1):
             if bits[level] == "0":
-                e = self._norm_intern(level, [e, ZERO])
+                w, node = self._intern2(level, w, node, _C0, TERMINAL)
             else:
-                e = self._norm_intern(level, [ZERO, e])
-        return e
+                w, node = self._intern2(level, _C0, TERMINAL, w, node)
+        return (w, node)
 
     def gate_dd(self, gate: Gate) -> Edge:
         """Matrix DD of the gate embedded in the full register (identity elsewhere)."""
@@ -199,10 +241,12 @@ class DDPackage:
         # wires[0] is the most significant bit of the small unitary's index
         bit = {w: 1 << (k - 1 - i) for i, w in enumerate(wires)}
         lowest = max(wires)
-        # the identity below the lowest wire is one chain, shared by every entry
+        # the identity below the lowest wire is one chain, shared by every
+        # entry; _mul passes a vector straight through its nodes
         chain = ONE
         for level in range(n - 1, lowest, -1):
             chain = self._norm_intern(level, [chain, ZERO, ZERO, chain])
+            self._identity.add(chain[1])
         # blocks[r, c] spans the levels already walked (at first, the chain);
         # r, c hold the row/column bits of the wires not yet folded in
         size = 1 << k
@@ -231,17 +275,13 @@ class DDPackage:
                 raise TypeError("cannot add a vector DD to a matrix DD")
             if na.level != nb.level:
                 raise ValueError("operands must be rooted at the same level")
-        return self._add(a, b)
+        return self._add(wa, na, wb, nb)
 
-    def _add(self, ea: Edge, eb: Edge) -> Edge:
-        wa = ea[0]
-        if wa.real == 0.0 and wa.imag == 0.0:
-            return eb
-        wb = eb[0]
-        if wb.real == 0.0 and wb.imag == 0.0:
-            return ea
-        na = ea[1]
-        nb = eb[1]
+    def _add(self, wa: complex, na: Node, wb: complex, nb: Node) -> Edge:
+        if not wa:
+            return (wb, nb)
+        if not wb:
+            return (wa, na)
         if na is nb:
             w = wa + wb
             if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
@@ -258,14 +298,17 @@ class DDPackage:
         self._tick = tick = self._tick + 1
         if not tick & 0x7FFF:
             self._check_deadline()
-        ea_children = na.edges
-        eb_children = nb.edges
-        parts = []
-        for i in range(len(ea_children)):
-            ca = ea_children[i]
-            cb = eb_children[i]
-            parts.append(self._add((wa * ca[0], ca[1]), (wb * cb[0], cb[1])))
-        res = self._norm_intern(na.level, parts)
+        ea = na.edges
+        eb = nb.edges
+        if len(ea) == 4:
+            a0, c0, a1, c1 = ea
+            b0, d0, b1, d1 = eb
+            w0, n0 = self._add(wa * a0, c0, wb * b0, d0)
+            w1, n1 = self._add(wa * a1, c1, wb * b1, d1)
+            res = self._intern2(na.level, w0, n0, w1, n1)
+        else:
+            parts = [self._add(wa * ea[i], ea[i + 1], wb * eb[i], eb[i + 1]) for i in range(0, 8, 2)]
+            res = self._norm_intern(na.level, parts)
         if len(cache) >= COMPUTE_TABLE_LIMIT:
             cache.clear()
         cache[key] = res
@@ -274,23 +317,23 @@ class DDPackage:
     def apply(self, op: Edge, state: Edge) -> Edge:
         """Multiply a matrix DD onto a vector DD."""
         (wo, no), (ws, ns) = op, state
-        if wo != 0 and no is not TERMINAL and len(no.edges) != 4:
+        if wo != 0 and no is not TERMINAL and len(no.edges) != 8:
             raise TypeError("op must be a matrix DD")
-        if ws != 0 and ns is not TERMINAL and len(ns.edges) != 2:
+        if ws != 0 and ns is not TERMINAL and len(ns.edges) != 4:
             raise TypeError("state must be a vector DD")
-        return self._mul(op, state)
+        if not wo:
+            return ZERO
+        return self._mul(wo, no, ws, ns)
 
-    def _mul(self, em: Edge, ev: Edge) -> Edge:
-        wm = em[0]
-        if wm.real == 0.0 and wm.imag == 0.0:
+    def _mul(self, wm: complex, mn: Node, wv: complex, vn: Node) -> Edge:
+        # wm is nonzero: callers skip zero matrix slots
+        if not wv:
             return ZERO
-        wv = ev[0]
-        if wv.real == 0.0 and wv.imag == 0.0:
-            return ZERO
-        mn = em[1]
-        vn = ev[1]
+        w = wm * wv
         if mn is TERMINAL:
-            return (wm * wv, TERMINAL)
+            return (w, TERMINAL)
+        if mn in self._identity:
+            return (w, vn)
         self._tick = tick = self._tick + 1
         if not tick & 0x7FFF:
             self._check_deadline()
@@ -298,16 +341,30 @@ class DDPackage:
         cache = self._mul_cache
         r = cache.get(key)
         if r is not None:
-            return (wm * wv * r[0], r[1])
-        m00, m01, m10, m11 = mn.edges
-        v0, v1 = vn.edges
-        r0 = self._add(self._mul(m00, v0), self._mul(m01, v1))
-        r1 = self._add(self._mul(m10, v0), self._mul(m11, v1))
-        res = self._norm_intern(mn.level, [r0, r1])
+            return (w * r[0], r[1])
+        m00, c00, m01, c01, m10, c10, m11, c11 = mn.edges
+        v0, d0, v1, d1 = vn.edges
+        if not m00:
+            w0, n0 = self._mul(m01, c01, v1, d1) if m01 else ZERO
+        elif not m01:
+            w0, n0 = self._mul(m00, c00, v0, d0)
+        else:
+            wa, na = self._mul(m00, c00, v0, d0)
+            wb, nb = self._mul(m01, c01, v1, d1)
+            w0, n0 = self._add(wa, na, wb, nb)
+        if not m10:
+            w1, n1 = self._mul(m11, c11, v1, d1) if m11 else ZERO
+        elif not m11:
+            w1, n1 = self._mul(m10, c10, v0, d0)
+        else:
+            wa, na = self._mul(m10, c10, v0, d0)
+            wb, nb = self._mul(m11, c11, v1, d1)
+            w1, n1 = self._add(wa, na, wb, nb)
+        res = self._intern2(mn.level, w0, n0, w1, n1)
         if len(cache) >= COMPUTE_TABLE_LIMIT:
             cache.clear()
         cache[key] = res
-        return (wm * wv * res[0], res[1])
+        return (w * res[0], res[1])
 
     def _check_deadline(self) -> None:
         d = self.deadline
@@ -348,8 +405,7 @@ class DDPackage:
             if i in marked:
                 continue
             marked.add(i)
-            for e in node.edges:
-                child = e[1]
+            for child in node.edges[1::2]:
                 if child is not TERMINAL:
                     stack.append(child)
         reclaimed = 0
@@ -361,6 +417,7 @@ class DDPackage:
         # compute tables key on node identity; drop them wholesale
         self._mul_cache.clear()
         self._add_cache.clear()
+        self._identity.clear()
         self.gc_runs += 1
         return reclaimed
 
@@ -378,14 +435,16 @@ def amplitude(edge: Edge, bits: str) -> complex:
     """Weight product along the path selected by bits (one char per level)."""
     w, node = edge
     for ch in bits:
-        if w.real == 0.0 and w.imag == 0.0:
+        if not w:
             return _C0
         if node is TERMINAL:
             raise ValueError("bitstring longer than the diagram depth")
-        e = node.edges[1 if ch == "1" else 0]
-        w = w * e[0]
-        node = e[1]
-    if w.real == 0.0 and w.imag == 0.0:
+        if ch == "1":
+            _, _, cw, node = node.edges
+        else:
+            cw, node, _, _ = node.edges
+        w = w * cw
+    if not w:
         return _C0
     if node is not TERMINAL:
         raise ValueError("bitstring shorter than the diagram depth")
@@ -400,31 +459,39 @@ def count_nodes(edge: Edge) -> int:
     stack = [edge[1]]
     while stack:
         node = stack.pop()
-        for e in node.edges:
-            child = e[1]
+        for child in node.edges[1::2]:
             if child is not TERMINAL and id(child) not in seen:
                 seen.add(id(child))
                 stack.append(child)
     return len(seen)
 
 
-def to_statevector(edge: Edge, num_qubits: int):
-    """Expand a vector DD into a dense numpy array of 2**num_qubits amplitudes."""
+def to_statevector(edge: Edge, num_qubits: int, positions: Sequence[int] | None = None):
+    """Expand a vector DD into a dense numpy array of 2**num_qubits amplitudes.
+
+    Level q's bit is index bit q counted from the most significant end, or
+    bit positions[q] when a relabeling is given; writing each amplitude at
+    its relabeled index spares a transpose of the whole array.
+    """
     import numpy as np
 
     out = np.zeros(1 << num_qubits, dtype=np.complex128)
     if edge[0] == 0:
         return out
+    if positions is None:
+        positions = range(num_qubits)
+    one_bit = [1 << (num_qubits - 1 - p) for p in positions]
     stack = [(edge[1], complex(edge[0]), 0)]
     while stack:
         node, w, prefix = stack.pop()
         if node is TERMINAL:
             out[prefix] = w
             continue
-        shift = num_qubits - 1 - node.level
-        for bit, (cw, child) in enumerate(node.edges):
-            if cw != 0:
-                stack.append((child, w * cw, prefix | (bit << shift)))
+        w0, n0, w1, n1 = node.edges
+        if w0:
+            stack.append((n0, w * w0, prefix))
+        if w1:
+            stack.append((n1, w * w1, prefix | one_bit[node.level]))
     return out
 
 
@@ -434,7 +501,8 @@ def norm_squared(edge: Edge) -> float:
     stack = [edge[1]]
     while stack:
         node = stack[-1]
-        mags = [(w.real * w.real + w.imag * w.imag, child) for w, child in node.edges]
+        e = node.edges
+        mags = [(w.real * w.real + w.imag * w.imag, child) for w, child in zip(e[::2], e[1::2])]
         pending = [child for mag, child in mags if mag and id(child) not in sums]
         if pending:
             stack.extend(pending)

@@ -64,10 +64,9 @@ class RunResult:
 
     def statevector(self) -> np.ndarray:
         """Dense amplitudes indexed by original labels (qubit 0 is the MSB)."""
-        raw = dd.to_statevector(self.final_state, self.num_qubits)
-        # axis q of the result is original qubit q, which sits on wire mapping[q]
-        mapping = self.output_permutation.mapping
-        return raw.reshape((2,) * self.num_qubits).transpose(mapping).reshape(-1)
+        # wire w holds original qubit inverse[w], so its bit goes to that position
+        positions = self.output_permutation.inverse().mapping
+        return dd.to_statevector(self.final_state, self.num_qubits, positions)
 
 
 def run(

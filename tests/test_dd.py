@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qdd import dd
-from qdd.circuit import Circuit, cp, cx, dagger, gate_unitary, h, mcp, p, rz, swap, x, y
+from qdd.circuit import Circuit, GateKind, cp, cx, dagger, gate_unitary, h, mcp, p, rz, swap, x, y
 from qdd.dd import (
     DDPackage,
     Edge,
@@ -20,6 +20,8 @@ from qdd.dd import (
     to_statevector,
 )
 from qdd.oracle import max_abs_diff, simulate_dense
+from qdd.reorder import ReorderMode, reorder
+from qdd.runner import run
 from util import random_circuit
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -50,18 +52,18 @@ def test_symmetric_children_normalize_to_unit_first_edge(pkg3):
     # equal children keep weight 1 on the edge; the split factor lives upstream
     e = pkg3.make_vector_node(2, dd.ONE, dd.ONE)
     assert e[0] == 1
-    assert e[1].edges[0][0] == 1
-    assert e[1].edges[1][0] == 1
+    assert e[1].edges[0] == 1
+    assert e[1].edges[2] == 1
 
 
 def test_first_nonzero_successor_gets_weight_exactly_one(pkg3):
     e = pkg3.make_vector_node(2, (0.3 + 0.1j, TERMINAL), (-0.2j, TERMINAL))
-    assert e[1].edges[0][0] == 1
+    assert e[1].edges[0] == 1
     assert e[0] == pytest.approx(0.3 + 0.1j)
     # zero first child: pivot moves to the second successor
     e = pkg3.make_vector_node(2, ZERO, (0.5j, TERMINAL))
-    assert e[1].edges[0] == ZERO
-    assert e[1].edges[1][0] == 1
+    assert e[1].edges[:2] == ZERO
+    assert e[1].edges[2] == 1
     assert e[0] == pytest.approx(0.5j)
 
 
@@ -89,6 +91,76 @@ def test_child_level_must_be_directly_below(pkg3):
     top = pkg3.make_vector_node(2, dd.ONE, ZERO)
     with pytest.raises(ValueError):
         pkg3.make_vector_node(0, top, ZERO)  # skips level 1
+
+
+def _reachable(edge: Edge) -> list:
+    seen, out = set(), []
+    stack = [edge[1]]
+    while stack:
+        node = stack.pop()
+        if node is TERMINAL or id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        stack.extend(node.edges[1::2])
+    return out
+
+
+def _assert_canonical_layout(edge: Edge, n: int, arity: int) -> None:
+    for node in _reachable(edge):
+        flat = node.edges
+        assert len(flat) == 2 * arity
+        weights, children = flat[::2], flat[1::2]
+        nonzero = [w for w in weights if w != 0]
+        assert nonzero and repr(nonzero[0]) == "(1+0j)"
+        for w, child in zip(weights, children):
+            if w == 0:
+                assert repr(w) == "0j" and child is TERMINAL
+            elif node.level == n - 1:
+                assert child is TERMINAL
+            else:
+                assert child.level == node.level + 1
+
+
+@pytest.mark.parametrize("mode", list(ReorderMode), ids=lambda m: m.value)
+def test_reachable_nodes_are_flat_and_canonical(mode):
+    # states hold (w0, n0, w1, n1), gate DDs (w00, n00, ..., w11, n11)
+    rng = random.Random(41)
+    for _ in range(8):
+        c = random_circuit(rng, max_qubits=6, max_depth=30)
+        n = c.num_qubits
+        transformed, _ = reorder(c, mode)
+        pkg = DDPackage(n)
+        for g in transformed.gates:
+            _assert_canonical_layout(pkg.gate_dd(g), n, 4)
+        _assert_canonical_layout(run(c, mode).final_state, n, 2)
+
+
+def _levels_below(edge: Edge, lowest: int) -> set:
+    return {id(node) for node in _reachable(edge) if node.level > lowest}
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [h(0), x(0), p(0.7, 0), cx(0, 2), cp(0.7, 0, 3), swap(0, 2), mcp(0.7, [0, 1], 3), y(0)],
+    ids=lambda g: g.kind.name,
+)
+def test_gate_on_wire_zero_passes_lower_subdiagrams_through(gate):
+    n = 6
+    prep = [h(q) for q in range(n)] + [cp(0.3 + q, q, (q + 2) % n) for q in range(n)] + [rz(0.4, 5)]
+    pkg = DDPackage(n)
+    state = pkg.basis_state("0" * n)
+    for g in prep:
+        state = pkg.apply(pkg.gate_dd(g), state)
+    lowest = max(gate.wires)
+    pkg._mul_cache.clear()
+    out = pkg.apply(pkg.gate_dd(gate), state)
+    # below the lowest wire the gate is the identity chain: no product is formed there
+    assert all(mn.level <= lowest for mn, _ in pkg._mul_cache)
+    if gate.kind is not GateKind.H:  # H sums the branches below it; the others only move or scale them
+        assert _levels_below(out, lowest) <= _levels_below(state, lowest)
+    want = simulate_dense(Circuit(n, (*prep, gate)))
+    assert max_abs_diff(want, to_statevector(out, n)) < 1e-12
 
 
 # ---------------------------------------------------------------- basis states
@@ -438,3 +510,20 @@ def test_to_statevector_matches_amplitudes():
     for idx in range(2**n):
         bits = format(idx, f"0{n}b")
         assert vec[idx] == pytest.approx(pkg.amplitude(st, bits), abs=1e-12)
+
+
+def test_to_statevector_positions_equal_the_transposed_expansion():
+    rng = random.Random(32)
+    for _ in range(10):
+        c = random_circuit(rng, max_qubits=6, max_depth=20)
+        n = c.num_qubits
+        pkg = DDPackage(n)
+        st = pkg.basis_state("0" * n)
+        for g in c.gates:
+            st = pkg.apply(pkg.gate_dd(g), st)
+        positions = list(range(n))
+        rng.shuffle(positions)
+        # level w's bit moves to position positions[w]: axis positions[w] of the result is axis w
+        axes = [positions.index(q) for q in range(n)]
+        want = to_statevector(st, n).reshape((2,) * n).transpose(axes).reshape(-1)
+        assert np.array_equal(to_statevector(st, n, positions), want)

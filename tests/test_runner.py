@@ -105,10 +105,13 @@ def test_released_result_is_freed_by_reference_counting():
     assert package() is None
 
 
-def test_gc_triggers_during_run(monkeypatch):
+@pytest.mark.parametrize("mode", list(ReorderMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("family, n", [("entangled_qft", 6), ("qpe", 5)])
+def test_gc_triggers_during_run(monkeypatch, family, n, mode):
+    # sweeps in mid-run drop identity-chain nodes that later gates rebuild
     monkeypatch.setattr(dd, "GC_THRESHOLD", 64)
-    c = build_family("entangled_qft", 6)
-    result = run(c, ReorderMode.NONE)
+    c = build_family(family, n)
+    result = run(c, mode)
     assert result.package.gc_runs > 0
     assert max_abs_diff(simulate_dense(c), result.statevector()) < 1e-9
 
