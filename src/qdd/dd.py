@@ -19,7 +19,9 @@ the zero edge itself. Structurally identical nodes, with weights compared
 after rounding each component to EPS-wide buckets, are interned in a
 per-level unique table, so equality of subdiagrams is object identity.
 Vector nodes go through one arity-2 routine that builds the unique-table
-key directly; matrix nodes through a general one with the same key layout.
+key directly, and so do the identity wrappers `[e, 0; 0, e]` that embed a
+gate in the register; other matrix nodes go through a general routine. All
+three use the same key layout.
 
 The multiply and add recursions take each operand's weight and node as
 separate arguments and return one `(weight, node)` edge, so no edge tuple is
@@ -186,6 +188,21 @@ class DDPackage:
             self.node_count += 1
         return (pivot, node)
 
+    def _wrap(self, level: int, e: Edge) -> Edge:
+        """Intern the identity wrapper [e, 0; 0, e]; _norm_intern's result and key for it."""
+        w, n = e
+        if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
+            return ZERO
+        key = (_KEY_ONE, 0, id(n), 0, 0, _ID_TERMINAL, 0, 0, _ID_TERMINAL, _KEY_ONE, 0, id(n))
+        table = self._unique[level]
+        node = table.get(key)
+        if node is None:
+            # w / w, not _C1: complex division can leave an imaginary residue,
+            # and _norm_intern stores what it computes
+            node = table[key] = Node(level, (_C1, n, _C0, TERMINAL, _C0, TERMINAL, w / w, n))
+            self.node_count += 1
+        return (w, node)
+
     def _check_child(self, level: int, e: Edge) -> None:
         w, node = e
         if node is TERMINAL:
@@ -241,20 +258,22 @@ class DDPackage:
         # wires[0] is the most significant bit of the small unitary's index
         bit = {w: 1 << (k - 1 - i) for i, w in enumerate(wires)}
         lowest = max(wires)
-        # the identity below the lowest wire is one chain, shared by every
-        # entry; _mul passes a vector straight through its nodes
+        # the identity below the lowest wire is one chain of wrappers, shared
+        # by every entry; _mul passes a vector straight through its nodes
         chain = ONE
         for level in range(n - 1, lowest, -1):
-            chain = self._norm_intern(level, [chain, ZERO, ZERO, chain])
+            chain = self._wrap(level, chain)
             self._identity.add(chain[1])
         # blocks[r, c] spans the levels already walked (at first, the chain);
-        # r, c hold the row/column bits of the wires not yet folded in
+        # r, c hold the row/column bits of the wires not yet folded in, and a
+        # level between wires wraps every block in an identity
+        rows = u.tolist()
         size = 1 << k
-        blocks = {(r, c): (complex(u[r, c]), chain[1]) for r in range(size) for c in range(size)}
+        blocks = {(r, c): (rows[r][c], chain[1]) for r in range(size) for c in range(size)}
         for level in range(lowest, -1, -1):
             b = bit.get(level)
             if b is None:
-                blocks = {rc: self._norm_intern(level, [e, ZERO, ZERO, e]) for rc, e in blocks.items()}
+                blocks = {rc: self._wrap(level, e) for rc, e in blocks.items()}
             else:
                 blocks = {
                     (r, c): self._norm_intern(

@@ -93,6 +93,67 @@ def test_child_level_must_be_directly_below(pkg3):
         pkg3.make_vector_node(0, top, ZERO)  # skips level 1
 
 
+def _wrap_weights() -> list[complex]:
+    rng = random.Random(7)
+    phases = [complex(math.cos(t), math.sin(t)) for t in (rng.uniform(-math.pi, math.pi) for _ in range(40))]
+    scaled = [r * ph for r in (1e-9, 0.3, 7.5, 1e6) for ph in phases[:4]]
+    up = math.nextafter(dd.EPS, math.inf)
+    down = math.nextafter(dd.EPS, 0.0)
+    near_eps = [complex(s * v, 0.0) for s in (1, -1) for v in (dd.EPS, down, up)]
+    near_eps += [complex(0.0, s * v) for s in (1, -1) for v in (dd.EPS, down, up)]
+    near_eps += [complex(dd.EPS, -dd.EPS), complex(up, up), complex(down, -up)]
+    return [1 + 0j, complex(INV_SQRT2), 0j, *phases, *scaled, *near_eps]
+
+
+WRAP_WEIGHTS = _wrap_weights()
+
+
+def test_wrap_weights_include_a_division_residue():
+    # the weights below must tell w / w from 1, or they cannot tell _wrap's slot 3 from _C1
+    assert any(w / w != 1 for w in WRAP_WEIGHTS if w)
+
+
+def _wrap_child(pkg: DDPackage, below: bool) -> tuple:
+    """(child node, wrapper level): the terminal at the bottom, or a Z-like node one level up."""
+    if not below:
+        return TERMINAL, 2
+    return pkg.make_matrix_node(2, dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL))[1], 1
+
+
+def _wrap_shape(edge: Edge, child) -> tuple:
+    flat = edge[1].edges
+    slots = tuple("child" if x is child and x is not TERMINAL else repr(x) for x in flat)
+    return repr(edge[0]), slots
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["terminal", "node"])
+@pytest.mark.parametrize("w", WRAP_WEIGHTS, ids=repr)
+def test_wrap_matches_general_interning(w, below):
+    # [e, 0; 0, e] through _wrap and through _norm_intern: same node, same edge, same count
+    shapes, growth = [], []
+    for first in ("wrap", "norm"):
+        pkg = DDPackage(3)
+        child, level = _wrap_child(pkg, below)
+        e = (w, child)
+        before = pkg.node_count
+        if first == "wrap":
+            a = pkg._wrap(level, e)
+            grew = pkg.node_count - before
+            b = pkg._norm_intern(level, [e, ZERO, ZERO, e])
+            shapes.append(_wrap_shape(a, child))
+        else:
+            b = pkg._norm_intern(level, [e, ZERO, ZERO, e])
+            grew = pkg.node_count - before
+            a = pkg._wrap(level, e)
+            shapes.append(_wrap_shape(b, child))
+        assert a[1] is b[1]
+        assert repr(a[0]) == repr(b[0])
+        assert pkg.node_count - before == grew  # the second call found the first's node
+        growth.append(grew)
+    assert shapes[0] == shapes[1]
+    assert growth[0] == growth[1]
+
+
 def _reachable(edge: Edge) -> list:
     seen, out = set(), []
     stack = [edge[1]]
