@@ -6,9 +6,17 @@ successors are one flat tuple of weights and nodes: `(w0, n0, w1, n1)` for a
 vector node (the |0> and |1> branch of one qubit), and
 `(w00, n00, w01, n01, w10, n10, w11, n11)` for a matrix node, in row-major
 order. Qubit 0 is the most significant bit of a basis index and the topmost
-level; a nonzero successor of a level-q node sits exactly at level q+1, or
-at the terminal when q is the bottom level. The amplitude of a basis state
-is the product of edge weights along the corresponding root-to-terminal path.
+level; a nonzero successor of a level-q vector node sits exactly at level
+q+1, or at the terminal when q is the bottom level. The amplitude of a basis
+state is the product of edge weights along the corresponding
+root-to-terminal path.
+
+A matrix edge `(w, TERMINAL)` entering level j stands for w times the
+identity on levels j..n-1, so a nonzero successor of a level-q matrix node
+sits at level q+1 or is the terminal. The identity is never written as
+nodes: `[1*T, 0; 0, 1*T]` (slot 3 in the same EPS bucket as 1) reduces to
+the terminal, and so does the identity wrapper `[e, 0; 0, e]` of a terminal
+`e`. A gate DD therefore has no node below its lowest wire.
 
 Canonical form: a node's successor weights are divided by the first nonzero
 successor weight, which is pulled onto the incoming edge, so that first
@@ -23,13 +31,13 @@ key directly, and so do the identity wrappers `[e, 0; 0, e]` that embed a
 gate in the register; other matrix nodes go through a general routine. All
 three use the same key layout.
 
-The multiply and add recursions take each operand's weight and node as
-separate arguments and return one `(weight, node)` edge, so no edge tuple is
-built to pass an operand down. Multiplication skips zero matrix slots (a
-diagonal gate or an identity wrapper has two per node), and stops at an
-identity-chain node: `gate_dd` shares one identity chain below a gate's
-lowest wire and records its nodes, and the product of such a node with a
-vector node is that vector node, scaled.
+Matrix DDs have one producer, `gate_dd`, and one consumer, `apply`; `add`
+sums vector DDs only. The multiply and add recursions take each operand's
+weight and node as separate arguments and return one `(weight, node)` edge,
+so no edge tuple is built to pass an operand down. Multiplication skips zero
+matrix slots (a diagonal gate or an identity wrapper has two per node), and
+stops at a terminal matrix successor: the identity times a vector node is
+that vector node, scaled.
 
 Operation results are memoized in two dicts, each bounded at
 COMPUTE_TABLE_LIMIT entries and cleared wholesale when an insert finds it
@@ -45,7 +53,7 @@ new to the memo; that is the work the swap-elimination rewrite saves.
 Garbage collection is explicit: nodes carry a reference count used to pin
 roots, and a mark-and-sweep pass runs when the unique tables grow past
 GC_THRESHOLD nodes (or on request), dropping dead nodes and clearing the
-compute tables and the identity-chain set.
+compute tables.
 """
 
 from __future__ import annotations
@@ -92,14 +100,12 @@ TERMINAL = Node(-1, ())
 ZERO = (_C0, TERMINAL)
 ONE = (_C1, TERMINAL)
 _ID_TERMINAL = id(TERMINAL)
+# unique-table key of [1*T, 0; 0, 1*T], which reduces to the terminal
+_IDENTITY_KEY = (_KEY_ONE, 0, _ID_TERMINAL, 0, 0, _ID_TERMINAL, 0, 0, _ID_TERMINAL, _KEY_ONE, 0, _ID_TERMINAL)
 
 
 def _is_vector_edge(e: Edge) -> bool:
     return e[1] is TERMINAL or len(e[1].edges) == 4
-
-
-def _is_matrix_edge(e: Edge) -> bool:
-    return e[1] is TERMINAL or len(e[1].edges) == 8
 
 
 class DDPackage:
@@ -115,7 +121,6 @@ class DDPackage:
         self._unique: list[dict] = [dict() for _ in range(num_qubits)]
         self._mul_cache: dict = {}
         self._add_cache: dict = {}
-        self._identity: set[Node] = set()  # identity-chain nodes built by gate_dd
         self._tick = 0
 
     # -- node construction -------------------------------------------------
@@ -148,7 +153,7 @@ class DDPackage:
         return (pivot, node)
 
     def _norm_intern(self, level: int, edges: list[Edge]) -> Edge:
-        """Normalize successor weights, snap near-zeros, intern a matrix node."""
+        """Normalize successor weights, snap near-zeros, intern a matrix node (or reduce an identity)."""
         pidx = -1
         pivot = _C0
         for i, e in enumerate(edges):
@@ -180,6 +185,8 @@ class DDPackage:
             key_parts.append(round(w.imag * _INV_EPS))
             key_parts.append(id(e[1]))
         key = tuple(key_parts)
+        if key == _IDENTITY_KEY:
+            return (pivot, TERMINAL)
         table = self._unique[level]
         node = table.get(key)
         if node is None:
@@ -189,10 +196,15 @@ class DDPackage:
         return (pivot, node)
 
     def _wrap(self, level: int, e: Edge) -> Edge:
-        """Intern the identity wrapper [e, 0; 0, e]; _norm_intern's result and key for it."""
+        """Intern the identity wrapper [e, 0; 0, e]; _norm_intern's result and key for it.
+
+        A terminal e stands for an identity already, so the wrapper reduces to e.
+        """
         w, n = e
         if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
             return ZERO
+        if n is TERMINAL:
+            return e
         key = (_KEY_ONE, 0, id(n), 0, 0, _ID_TERMINAL, 0, 0, _ID_TERMINAL, _KEY_ONE, 0, id(n))
         table = self._unique[level]
         node = table.get(key)
@@ -221,16 +233,6 @@ class DDPackage:
             self._check_child(level, e)
         return self._intern2(level, e0[0], e0[1], e1[0], e1[1])
 
-    def make_matrix_node(self, level: int, e00: Edge, e01: Edge, e10: Edge, e11: Edge) -> Edge:
-        """Intern a matrix node with row-major successors."""
-        if not 0 <= level < self.num_qubits:
-            raise ValueError(f"level {level} out of range for {self.num_qubits} qubits")
-        for e in (e00, e01, e10, e11):
-            if not _is_matrix_edge(e):
-                raise TypeError("matrix node successors must be matrix edges")
-            self._check_child(level, e)
-        return self._norm_intern(level, [e00, e01, e10, e11])
-
     def basis_state(self, bits: str) -> Edge:
         """DD of the computational basis state |bits>; exactly n nodes."""
         n = self.num_qubits
@@ -257,20 +259,14 @@ class DDPackage:
         k = len(wires)
         # wires[0] is the most significant bit of the small unitary's index
         bit = {w: 1 << (k - 1 - i) for i, w in enumerate(wires)}
-        lowest = max(wires)
-        # the identity below the lowest wire is one chain of wrappers, shared
-        # by every entry; _mul passes a vector straight through its nodes
-        chain = ONE
-        for level in range(n - 1, lowest, -1):
-            chain = self._wrap(level, chain)
-            self._identity.add(chain[1])
-        # blocks[r, c] spans the levels already walked (at first, the chain);
-        # r, c hold the row/column bits of the wires not yet folded in, and a
-        # level between wires wraps every block in an identity
+        # blocks[r, c] spans the levels already walked (at first, the identity
+        # below the lowest wire, which the terminal stands for); r, c hold the
+        # row/column bits of the wires not yet folded in, and a level between
+        # wires wraps every block in an identity
         rows = u.tolist()
         size = 1 << k
-        blocks = {(r, c): (rows[r][c], chain[1]) for r in range(size) for c in range(size)}
-        for level in range(lowest, -1, -1):
+        blocks = {(r, c): (rows[r][c], TERMINAL) for r in range(size) for c in range(size)}
+        for level in range(max(wires), -1, -1):
             b = bit.get(level)
             if b is None:
                 blocks = {rc: self._wrap(level, e) for rc, e in blocks.items()}
@@ -287,13 +283,12 @@ class DDPackage:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: Edge, b: Edge) -> Edge:
-        """Pointwise sum of two vector DDs (or two matrix DDs)."""
+        """Pointwise sum of two vector DDs."""
+        if not (_is_vector_edge(a) and _is_vector_edge(b)):
+            raise TypeError("add takes two vector DDs")
         (wa, na), (wb, nb) = a, b
-        if wa != 0 and wb != 0 and na is not TERMINAL and nb is not TERMINAL:
-            if len(na.edges) != len(nb.edges):
-                raise TypeError("cannot add a vector DD to a matrix DD")
-            if na.level != nb.level:
-                raise ValueError("operands must be rooted at the same level")
+        if wa != 0 and wb != 0 and na is not TERMINAL and nb is not TERMINAL and na.level != nb.level:
+            raise ValueError("operands must be rooted at the same level")
         return self._add(wa, na, wb, nb)
 
     def _add(self, wa: complex, na: Node, wb: complex, nb: Node) -> Edge:
@@ -317,17 +312,11 @@ class DDPackage:
         self._tick = tick = self._tick + 1
         if not tick & 0x7FFF:
             self._check_deadline()
-        ea = na.edges
-        eb = nb.edges
-        if len(ea) == 4:
-            a0, c0, a1, c1 = ea
-            b0, d0, b1, d1 = eb
-            w0, n0 = self._add(wa * a0, c0, wb * b0, d0)
-            w1, n1 = self._add(wa * a1, c1, wb * b1, d1)
-            res = self._intern2(na.level, w0, n0, w1, n1)
-        else:
-            parts = [self._add(wa * ea[i], ea[i + 1], wb * eb[i], eb[i + 1]) for i in range(0, 8, 2)]
-            res = self._norm_intern(na.level, parts)
+        a0, c0, a1, c1 = na.edges
+        b0, d0, b1, d1 = nb.edges
+        w0, n0 = self._add(wa * a0, c0, wb * b0, d0)
+        w1, n1 = self._add(wa * a1, c1, wb * b1, d1)
+        res = self._intern2(na.level, w0, n0, w1, n1)
         if len(cache) >= COMPUTE_TABLE_LIMIT:
             cache.clear()
         cache[key] = res
@@ -349,9 +338,7 @@ class DDPackage:
         if not wv:
             return ZERO
         w = wm * wv
-        if mn is TERMINAL:
-            return (w, TERMINAL)
-        if mn in self._identity:
+        if mn is TERMINAL:  # the identity on every level below
             return (w, vn)
         self._tick = tick = self._tick + 1
         if not tick & 0x7FFF:
@@ -436,7 +423,6 @@ class DDPackage:
         # compute tables key on node identity; drop them wholesale
         self._mul_cache.clear()
         self._add_cache.clear()
-        self._identity.clear()
         self.gc_runs += 1
         return reclaimed
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def test_first_nonzero_successor_gets_weight_exactly_one(pkg3):
 def test_all_zero_children_collapse_to_zero_edge(pkg3):
     e = pkg3.make_vector_node(2, ZERO, ZERO)
     assert e == ZERO
-    m = pkg3.make_matrix_node(2, ZERO, ZERO, ZERO, ZERO)
+    m = pkg3._norm_intern(2, [ZERO, ZERO, ZERO, ZERO])
     assert m == ZERO
 
 
@@ -117,7 +118,7 @@ def _wrap_child(pkg: DDPackage, below: bool) -> tuple:
     """(child node, wrapper level): the terminal at the bottom, or a Z-like node one level up."""
     if not below:
         return TERMINAL, 2
-    return pkg.make_matrix_node(2, dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL))[1], 1
+    return pkg._norm_intern(2, [dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL)])[1], 1
 
 
 def _wrap_shape(edge: Edge, child) -> tuple:
@@ -129,7 +130,8 @@ def _wrap_shape(edge: Edge, child) -> tuple:
 @pytest.mark.parametrize("below", [False, True], ids=["terminal", "node"])
 @pytest.mark.parametrize("w", WRAP_WEIGHTS, ids=repr)
 def test_wrap_matches_general_interning(w, below):
-    # [e, 0; 0, e] through _wrap and through _norm_intern: same node, same edge, same count
+    # [e, 0; 0, e] through _wrap and through _norm_intern: same node, same edge, same count;
+    # around a terminal e (an identity already) both reduce to e itself and make no node
     shapes, growth = [], []
     for first in ("wrap", "norm"):
         pkg = DDPackage(3)
@@ -149,6 +151,8 @@ def test_wrap_matches_general_interning(w, below):
         assert a[1] is b[1]
         assert repr(a[0]) == repr(b[0])
         assert pkg.node_count - before == grew  # the second call found the first's node
+        if not below:
+            assert a in (e, ZERO) and grew == 0
         growth.append(grew)
     assert shapes[0] == shapes[1]
     assert growth[0] == growth[1]
@@ -167,7 +171,14 @@ def _reachable(edge: Edge) -> list:
     return out
 
 
+def _is_one_bucket(w: complex) -> bool:
+    return round(w.real * dd._INV_EPS) == dd._KEY_ONE and round(w.imag * dd._INV_EPS) == 0
+
+
 def _assert_canonical_layout(edge: Edge, n: int, arity: int) -> None:
+    # a vector successor sits one level down, or at the terminal from the bottom level;
+    # a matrix successor sits one level down or is the terminal (the identity below),
+    # and the identity itself is never a node
     for node in _reachable(edge):
         flat = node.edges
         assert len(flat) == 2 * arity
@@ -177,10 +188,12 @@ def _assert_canonical_layout(edge: Edge, n: int, arity: int) -> None:
         for w, child in zip(weights, children):
             if w == 0:
                 assert repr(w) == "0j" and child is TERMINAL
-            elif node.level == n - 1:
-                assert child is TERMINAL
+            elif child is TERMINAL:
+                assert arity == 4 or node.level == n - 1
             else:
                 assert child.level == node.level + 1
+        if arity == 4:
+            assert not (weights[:3] == (1, 0, 0) and set(children) == {TERMINAL} and _is_one_bucket(weights[3]))
 
 
 @pytest.mark.parametrize("mode", list(ReorderMode), ids=lambda m: m.value)
@@ -195,6 +208,33 @@ def test_reachable_nodes_are_flat_and_canonical(mode):
         for g in transformed.gates:
             _assert_canonical_layout(pkg.gate_dd(g), n, 4)
         _assert_canonical_layout(run(c, mode).final_state, n, 2)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [h(2), x(0), p(0.7, 5), cx(0, 2), cx(4, 1), cp(0.7, 1, 3), swap(0, 5), mcp(0.7, [3, 0], 4), rz(0.4, 3), y(1)],
+    ids=lambda g: f"{g.kind.name}{list(g.wires)}",
+)
+def test_gate_dd_has_no_node_below_its_lowest_wire(gate):
+    # levels above the lowest wire hold the gate and identity wrappers [e, 0; 0, e];
+    # the identity below it is the terminal, so no node sits there
+    pkg = DDPackage(6)
+    nodes = _reachable(pkg.gate_dd(gate))
+    assert nodes and max(node.level for node in nodes) == max(gate.wires)
+    for node in nodes:
+        if node.level not in gate.wires:
+            w00, n00, w01, _, w10, _, w11, n11 = node.edges
+            assert (w00, w01, w10) == (1, 0, 0) and n00 is n11 and _is_one_bucket(w11)
+
+
+@pytest.mark.parametrize(
+    "gate", [p(0.0, 0), p(0.0, 2), rz(0.0, 1), rz(0.0, 2)], ids=lambda g: f"{g.kind.name}{list(g.wires)}"
+)
+def test_identity_gate_dd_is_a_terminal_edge(gate):
+    pkg = DDPackage(3)
+    w, node = pkg.gate_dd(gate)
+    assert node is TERMINAL and w == pytest.approx(1, abs=1e-15)
+    assert pkg.node_count == 0
 
 
 def _levels_below(edge: Edge, lowest: int) -> set:
@@ -216,7 +256,7 @@ def test_gate_on_wire_zero_passes_lower_subdiagrams_through(gate):
     lowest = max(gate.wires)
     pkg._mul_cache.clear()
     out = pkg.apply(pkg.gate_dd(gate), state)
-    # below the lowest wire the gate is the identity chain: no product is formed there
+    # below the lowest wire the gate is the identity (a terminal successor): no product is formed there
     assert all(mn.level <= lowest for mn, _ in pkg._mul_cache)
     if gate.kind is not GateKind.H:  # H sums the branches below it; the others only move or scale them
         assert _levels_below(out, lowest) <= _levels_below(state, lowest)
@@ -377,6 +417,32 @@ def test_add_commutes_and_associates():
         assert np.max(np.abs(l - r)) < 1e-9
 
 
+def test_add_memo_keeps_phase_fan_sums_polynomial():
+    # H everywhere, then cp(pi/2, 0, q) for q = 1..k puts 2^k distinct weight pairs
+    # under wire 0's branches; the closing H sums them. The memo makes that O(k^2)
+    # add calls (2k^2 + 4k + 4 measured); without it the sum recurses through every
+    # pair and the deadline stops it within seconds.
+    k = 30
+    n = k + 1
+    pkg = DDPackage(n)
+    calls = 0
+    add = pkg._add
+
+    def counting_add(*args):
+        nonlocal calls
+        calls += 1
+        return add(*args)
+
+    pkg._add = counting_add  # the recursion calls self._add, so every call is counted
+    gates = [h(q) for q in range(n)] + [cp(math.pi / 2, 0, q) for q in range(1, n)] + [h(0)]
+    pkg.deadline = time.perf_counter() + 10.0
+    st = pkg.basis_state("0" * n)
+    for g in gates:
+        st = pkg.apply(pkg.gate_dd(g), st)
+    assert calls <= 3 * k * k
+    assert norm_squared(st) == pytest.approx(1.0, abs=1e-9)
+
+
 def _random_state(pkg: DDPackage, rng: random.Random) -> Edge:
     """Random short circuit output; exercises varied node structure."""
     c = random_circuit(rng, max_qubits=3, max_depth=10)
@@ -395,6 +461,8 @@ def test_apply_rejects_operand_mix(pkg3):
         pkg3.apply(st, st)
     with pytest.raises(TypeError):
         pkg3.add(op, st)
+    with pytest.raises(TypeError):
+        pkg3.add(op, op)  # matrix DDs are only built and applied, never summed
 
 
 def test_memoization_is_consistent_with_recomputation():

@@ -2,9 +2,11 @@
 
 Runs every circuit below in every reorder mode and feeds the raw bytes of
 `statevector()`, `peak_nodes` and `final_nodes` into SHA-256. It prints one
-digest per circuit (all modes folded) and, last, one digest over everything.
-An engine change that claims to keep results bit-identical must print the
-same last line as its parent:
+digest per circuit (all modes folded), then a `results` digest over the
+statevectors and final node counts only, and last one digest over
+everything. An engine change that claims to keep results bit-identical must
+print the same `results` line as its parent, and the same last line unless
+it changes peak node counts on purpose:
 
     python3 tools/fingerprint.py
 
@@ -42,14 +44,19 @@ def circuits() -> list[tuple[str, Circuit]]:
 
 def main() -> None:
     total = hashlib.sha256()
+    results = hashlib.sha256()
     for name, circuit in circuits():
         one = hashlib.sha256()
         for mode in ReorderMode:
             result = run(circuit, mode)
-            one.update(result.statevector().tobytes())
+            amplitudes = result.statevector().tobytes()
+            one.update(amplitudes)
             one.update(f"{result.stats.peak_nodes},{result.stats.final_nodes};".encode())
+            results.update(amplitudes)
+            results.update(f"{result.stats.final_nodes};".encode())
         total.update(one.digest())
         print(f"{one.hexdigest()}  {name}")
+    print(f"{results.hexdigest()}  results")
     print(f"{total.hexdigest()}  all")
 
 
