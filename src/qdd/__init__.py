@@ -7,66 +7,15 @@ simulator used to cross-check everything.
 
 Bit-order convention, everywhere: qubit 0 is the most significant bit of a
 basis-state string, so "100" on three qubits means qubit 0 is |1>.
+
+The package namespace holds the entry points only; everything else is
+imported from its submodule (qdd.circuit, qdd.dd, qdd.qasm, ...).
 """
 
-from .circuit import (
-    Circuit,
-    Gate,
-    GateKind,
-    QubitPermutation,
-    Violation,
-    cp,
-    cx,
-    dagger,
-    gate_unitary,
-    h,
-    mcp,
-    p,
-    relabel_gate,
-    rz,
-    s,
-    sdg,
-    swap,
-    t,
-    tdg,
-    validate,
-    x,
-    y,
-    z,
-)
-from .dd import (
-    DDPackage,
-    Edge,
-    Node,
-    SimulationTimeout,
-    TERMINAL,
-    amplitude,
-    count_nodes,
-    norm_squared,
-    to_statevector,
-)
-from .generators import FAMILIES, QpeSpec, build_family, entangled_qft, ghz, inverse_qft, qft, qpe
-from .oracle import DenseState, max_abs_diff, simulate_dense
-from .qasm import ParsedProgram, QasmError, emit, parse
-from .reorder import ReorderMode, ReorderReport, permute_bits, reorder
-from .runner import BenchRow, RunResult, RunStats, bench, run
+from .generators import build_family
+from .reorder import ReorderMode
+from .runner import run
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circuit",
-    "Gate",
-    "GateKind",
-    "QubitPermutation",
-    "Violation",
-    "h", "x", "y", "z", "s", "sdg", "t", "tdg", "p", "rz", "cx", "cp", "mcp", "swap",
-    "validate", "relabel_gate", "dagger", "gate_unitary",
-    "DDPackage", "Edge", "Node", "TERMINAL", "SimulationTimeout",
-    "amplitude", "count_nodes", "norm_squared", "to_statevector",
-    "FAMILIES", "QpeSpec", "build_family", "ghz", "qft", "inverse_qft", "entangled_qft", "qpe",
-    "DenseState", "simulate_dense", "max_abs_diff",
-    "ParsedProgram", "QasmError", "parse", "emit",
-    "ReorderMode", "ReorderReport", "reorder", "permute_bits",
-    "RunResult", "RunStats", "BenchRow", "run", "bench",
-    "__version__",
-]
+__all__ = ["ReorderMode", "build_family", "run", "__version__"]

@@ -2,9 +2,13 @@
 
 Bit-order convention used everywhere in this package: qubit 0 is the most
 significant bit of a basis index, the leftmost character of a bitstring, and
-the topmost decision-diagram level. A gate's unitary (see gate_unitary) is
-expressed over the gate's own wires in the order controls + targets, with the
-first wire as the most significant bit of the matrix index.
+the topmost decision-diagram level.
+
+A gate kind is defined once, by its wire counts (ARITY) and its target block
+(target_unitary): the unitary on its targets when every control is |1>, with
+the first target as the most significant bit. Every control's |0> branch is
+the identity. The decision-diagram engine builds a gate level by level from
+that block; gate_unitary embeds it in the dense matrix the oracle uses.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ class GateKind(Enum):
     SWAP = "swap"
 
 
-# kind -> (controls, targets); MCP is special-cased (any number >= 1 of controls)
-_ARITY: dict[GateKind, tuple[int, int]] = {
+# kind -> (controls, targets); None controls means any number >= 1 (MCP)
+ARITY: dict[GateKind, tuple[int | None, int]] = {
     GateKind.H: (0, 1),
     GateKind.X: (0, 1),
     GateKind.Y: (0, 1),
@@ -50,12 +54,13 @@ _ARITY: dict[GateKind, tuple[int, int]] = {
     GateKind.RZ: (0, 1),
     GateKind.CX: (1, 1),
     GateKind.CP: (1, 1),
+    GateKind.MCP: (None, 1),
     GateKind.SWAP: (0, 2),
 }
 
 PARAMETERIZED_KINDS = frozenset({GateKind.P, GateKind.RZ, GateKind.CP, GateKind.MCP})
 
-# dense unitaries are refused beyond this many wires (4^k entries)
+# dense unitaries (the oracle's) are refused beyond this many wires (4^k entries)
 MAX_UNITARY_WIRES = 12
 
 
@@ -213,16 +218,15 @@ def validate(circuit: Circuit) -> list[Violation]:
         out.append(Violation(None, f"num_qubits must be >= 1, got {n}"))
         return out
     for i, g in enumerate(circuit.gates):
-        if g.kind is GateKind.MCP:
-            if len(g.controls) < 1 or len(g.targets) != 1:
+        nc, nt = ARITY[g.kind]
+        if nc is None:
+            if len(g.controls) < 1 or len(g.targets) != nt:
                 out.append(Violation(i, f"mcp needs >=1 control and 1 target, got {g.controls}/{g.targets}"))
-            elif len(g.wires) > MAX_UNITARY_WIRES:
+            elif len(g.wires) > MAX_UNITARY_WIRES:  # the oracle must accept every valid circuit
                 out.append(Violation(i, f"mcp over {len(g.wires)} wires exceeds the {MAX_UNITARY_WIRES}-wire dense limit"))
-        else:
-            nc, nt = _ARITY[g.kind]
-            if len(g.controls) != nc or len(g.targets) != nt:
-                out.append(Violation(
-                    i, f"{g.kind.value} needs {nc} control(s) and {nt} target(s), got {len(g.controls)}/{len(g.targets)}"))
+        elif len(g.controls) != nc or len(g.targets) != nt:
+            out.append(Violation(
+                i, f"{g.kind.value} needs {nc} control(s) and {nt} target(s), got {len(g.controls)}/{len(g.targets)}"))
         wires = g.wires
         if len(set(wires)) != len(wires):
             out.append(Violation(i, f"duplicate wire in {g.kind.value}: {wires}"))
@@ -270,55 +274,53 @@ def dagger(gate: Gate) -> Gate:
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-_FIXED_1Q: dict[GateKind, np.ndarray] = {
+_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+_FIXED_BLOCKS: dict[GateKind, np.ndarray] = {
     GateKind.H: np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=np.complex128),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    GateKind.X: _X,
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     GateKind.Z: np.array([[1, 0], [0, -1]], dtype=np.complex128),
     GateKind.S: np.array([[1, 0], [0, 1j]], dtype=np.complex128),
     GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=np.complex128),
     GateKind.T: np.array([[1, 0], [0, cmath.exp(0.25j * math.pi)]], dtype=np.complex128),
     GateKind.TDG: np.array([[1, 0], [0, cmath.exp(-0.25j * math.pi)]], dtype=np.complex128),
+    GateKind.CX: _X,
+    GateKind.SWAP: np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128),
 }
 
-_SWAP_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
 
-_CX_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-)
+def target_unitary(gate: Gate) -> np.ndarray:
+    """The gate's target block: its unitary on the targets when every control is |1>.
 
-
-def gate_unitary(gate: Gate) -> np.ndarray:
-    """Dense unitary of the gate over its wires (controls + targets, MSB first).
-
-    This is the single definition of gate semantics: both the decision-diagram
-    engine and the dense oracle build from it.
+    The first target is the most significant bit. This block, with ARITY, is
+    the single definition of gate semantics: the decision-diagram engine and
+    gate_unitary both build from it.
     """
     kind = gate.kind
-    if kind in _FIXED_1Q:
-        return _FIXED_1Q[kind].copy()
-    if kind is GateKind.P:
-        return np.array([[1, 0], [0, cmath.exp(1j * gate.angle)]], dtype=np.complex128)
+    if kind in _FIXED_BLOCKS:
+        return _FIXED_BLOCKS[kind].copy()
     if kind is GateKind.RZ:
         return np.array(
             [[cmath.exp(-0.5j * gate.angle), 0], [0, cmath.exp(0.5j * gate.angle)]],
             dtype=np.complex128,
         )
-    if kind is GateKind.CX:
-        return _CX_MATRIX.copy()
-    if kind is GateKind.CP:
-        u = np.eye(4, dtype=np.complex128)
-        u[3, 3] = cmath.exp(1j * gate.angle)
-        return u
-    if kind is GateKind.SWAP:
-        return _SWAP_MATRIX.copy()
-    if kind is GateKind.MCP:
-        k = len(gate.wires)
-        if k > MAX_UNITARY_WIRES:
-            raise ValueError(f"mcp over {k} wires exceeds the {MAX_UNITARY_WIRES}-wire dense limit")
-        u = np.eye(1 << k, dtype=np.complex128)
-        u[-1, -1] = cmath.exp(1j * gate.angle)
-        return u
-    raise ValueError(f"no unitary for gate kind {kind!r}")
+    # P, CP and MCP
+    return np.array([[1, 0], [0, cmath.exp(1j * gate.angle)]], dtype=np.complex128)
+
+
+def gate_unitary(gate: Gate) -> np.ndarray:
+    """Dense unitary of the gate over its wires (controls + targets, MSB first).
+
+    The target block (target_unitary) embedded in the identity: the controls
+    are the leading bits, so the block fills the rows and columns where they
+    are all 1. The dense oracle uses it; the decision-diagram engine does not.
+    """
+    k = len(gate.wires)
+    if k > MAX_UNITARY_WIRES:
+        raise ValueError(f"{gate.kind.value} over {k} wires exceeds the {MAX_UNITARY_WIRES}-wire dense limit")
+    base = target_unitary(gate)
+    m = len(base)
+    u = np.eye(1 << k, dtype=np.complex128)
+    u[-m:, -m:] = base
+    return u

@@ -26,13 +26,7 @@ import re
 from dataclasses import dataclass
 from math import pi as _PI
 
-from .circuit import (
-    Circuit,
-    Gate,
-    GateKind,
-    QubitPermutation,
-    validate,
-)
+from .circuit import ARITY, PARAMETERIZED_KINDS, Circuit, Gate, GateKind, QubitPermutation, validate
 
 
 class QasmError(Exception):
@@ -72,27 +66,8 @@ _TOKEN_RE = re.compile(
 
 _PERM_COMMENT_RE = re.compile(r"^//\s*output_permutation:\s*((?:\d+\s*)+)$")
 
-_NO_ANGLE = {
-    "h": GateKind.H,
-    "x": GateKind.X,
-    "y": GateKind.Y,
-    "z": GateKind.Z,
-    "s": GateKind.S,
-    "sdg": GateKind.SDG,
-    "t": GateKind.T,
-    "tdg": GateKind.TDG,
-    "cx": GateKind.CX,
-    "swap": GateKind.SWAP,
-}
-
-_WITH_ANGLE = {
-    "p": GateKind.P,
-    "u1": GateKind.P,
-    "rz": GateKind.RZ,
-    "cp": GateKind.CP,
-    "cu1": GateKind.CP,
-    "mcp": GateKind.MCP,
-}
+# every kind by its mnemonic, plus the qelib1.inc aliases of p and cp
+_KINDS = {k.value: k for k in GateKind} | {"u1": GateKind.P, "cu1": GateKind.CP}
 
 _NUMBER_START = frozenset("0123456789.")
 
@@ -289,7 +264,10 @@ class _Parser:
         name = head.value
         pos = 1
         angle: float | None = None
-        if name in _WITH_ANGLE:
+        kind = _KINDS.get(name)
+        if kind is None:
+            raise QasmError(f"unknown gate {name!r}", head.line, head.column)
+        if kind in PARAMETERIZED_KINDS:
             if pos >= len(stmt) or stmt[pos].value != "(":
                 raise QasmError(f"{name} requires an angle argument", head.line, head.column)
             depth = 0
@@ -307,14 +285,10 @@ class _Parser:
                 raise QasmError("unclosed '(' in gate arguments", head.line, head.column)
             angle = _ExprParser(stmt[start + 1 : end], head.line).parse()
             pos = end + 1
-        elif name in _NO_ANGLE:
-            if pos < len(stmt) and stmt[pos].value == "(":
-                raise QasmError(f"{name} takes no angle", head.line, head.column)
-        else:
-            raise QasmError(f"unknown gate {name!r}", head.line, head.column)
+        elif pos < len(stmt) and stmt[pos].value == "(":
+            raise QasmError(f"{name} takes no angle", head.line, head.column)
 
         wires = self._arguments(stmt[pos:], head)
-        kind = _WITH_ANGLE.get(name) or _NO_ANGLE[name]
         self.gates.extend(self._build(kind, name, angle, wires, head))
 
     def _arguments(self, tokens: list[_Token], head: _Token) -> list[int | None]:
@@ -361,37 +335,23 @@ class _Parser:
         wires: list[int | None],
         head: _Token,
     ) -> list[Gate]:
-        single = kind in (
-            GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S,
-            GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.P, GateKind.RZ,
-        )
-        if single and len(wires) == 1 and wires[0] is None:
+        nc, nt = ARITY[kind]
+        if nc == 0 and nt == 1 and wires == [None]:
             # whole-register broadcast, e.g. `h q;`
             return [Gate(kind, angle=angle, targets=(q,)) for q in range(self.qreg_size)]
-        if any(w is None for w in wires):
+        if None in wires:
             raise QasmError(
                 f"register broadcast is only supported for single-qubit gates, not {name}",
                 head.line,
                 head.column,
             )
-        concrete = [w for w in wires if w is not None]
-        if single:
-            if len(concrete) != 1:
-                raise QasmError(f"{name} takes exactly one qubit", head.line, head.column)
-            return [Gate(kind, angle=angle, targets=(concrete[0],))]
-        if kind in (GateKind.CX, GateKind.CP):
-            if len(concrete) != 2:
-                raise QasmError(f"{name} takes exactly two qubits", head.line, head.column)
-            return [Gate(kind, angle=angle, controls=(concrete[0],), targets=(concrete[1],))]
-        if kind is GateKind.SWAP:
-            if len(concrete) != 2:
-                raise QasmError("swap takes exactly two qubits", head.line, head.column)
-            return [Gate(kind, targets=(concrete[0], concrete[1]))]
-        if kind is GateKind.MCP:
-            if len(concrete) < 2:
-                raise QasmError("mcp takes at least one control and one target", head.line, head.column)
-            return [Gate(kind, angle=angle, controls=tuple(concrete[:-1]), targets=(concrete[-1],))]
-        raise QasmError(f"unknown gate {name!r}", head.line, head.column)
+        if nc is None:
+            if len(wires) <= nt:
+                raise QasmError(f"{name} takes at least one control and one target", head.line, head.column)
+        elif len(wires) != nc + nt:
+            count = "one qubit" if nc + nt == 1 else "two qubits"
+            raise QasmError(f"{name} takes exactly {count}", head.line, head.column)
+        return [Gate(kind, angle=angle, controls=tuple(wires[:-nt]), targets=tuple(wires[-nt:]))]
 
 
 def parse(text: str) -> ParsedProgram:

@@ -1,5 +1,6 @@
 """Decision-diagram package: canonicity, normalization, arithmetic, gc."""
 
+import cmath
 import math
 import random
 import time
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from qdd import dd
-from qdd.circuit import Circuit, GateKind, cp, cx, dagger, gate_unitary, h, mcp, p, rz, swap, x, y
+from qdd.circuit import MAX_UNITARY_WIRES, Circuit, GateKind, cp, cx, dagger, gate_unitary, h, mcp, p, rz, swap, x, y
 from qdd.dd import (
     DDPackage,
     Edge,
@@ -337,8 +338,8 @@ def test_gate_dd_full_operator_matches_embedded_unitary():
     n = 5
     theta = 0.9
     gates = [
-        h(2), cp(theta, 4, 0), cp(theta, 0, 4), cx(3, 1), swap(4, 1),
-        mcp(theta, [3, 0], 2), rz(theta, 0), y(3),
+        h(2), cp(theta, 4, 0), cp(theta, 0, 4), cx(3, 1), cx(1, 3), swap(4, 1),
+        mcp(theta, [3, 0], 2), mcp(theta, [4, 3], 0), mcp(theta, [0, 1], 4), rz(theta, 0), y(3),
     ]
 
     def bit(i, q):
@@ -360,6 +361,32 @@ def test_gate_dd_full_operator_matches_embedded_unitary():
         for c in range(1 << n):
             col = to_statevector(pkg.apply(op, pkg.basis_state(format(c, f"0{n}b"))), n)
             assert np.max(np.abs(col - dense[:, c])) < 1e-12, (g, c)
+
+
+def test_wide_mcp_gate_dd_is_linear():
+    # controls on both sides of the target: a control level makes one node per
+    # target block, so the build is linear in the wires, never 4^k
+    for k in range(2, MAX_UNITARY_WIRES + 1):
+        pkg = DDPackage(k)
+        calls = 0
+        limit = 4 * k
+
+        def counted(f):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                if calls > limit:
+                    raise AssertionError(f"more than {limit} interning calls at k={k}")
+                return f(*args)
+            return wrapper
+
+        pkg._norm_intern = counted(pkg._norm_intern)
+        pkg._wrap = counted(pkg._wrap)
+        target = k // 2
+        gate = mcp(0.7, [q for q in range(k) if q != target], target)
+        op = pkg.gate_dd(gate)
+        assert pkg.node_count == k
+        assert pkg.amplitude(pkg.apply(op, pkg.basis_state("1" * k)), "1" * k) == pytest.approx(cmath.exp(0.7j))
 
 
 def test_gate_inverse_roundtrip_returns_same_state():

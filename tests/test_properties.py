@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdd import dd
-from qdd.circuit import _ARITY, PARAMETERIZED_KINDS, Circuit, Gate, GateKind, dagger, h
+from qdd.circuit import ARITY, MAX_UNITARY_WIRES, PARAMETERIZED_KINDS, Circuit, Gate, GateKind, dagger, h
 from qdd.reorder import ReorderMode
 from qdd.runner import run
 
@@ -14,11 +14,10 @@ from qdd.runner import run
 @st.composite
 def gates(draw, n: int) -> Gate:
     kind = draw(st.sampled_from(GateKind))
-    if kind is GateKind.MCP:
-        # gate_dd folds a dense 2^k x 2^k unitary; up to 5 wires keeps that small
-        nc, nt = draw(st.integers(1, 4)), 1
-    else:
-        nc, nt = _ARITY[kind]
+    nc, nt = ARITY[kind]
+    if nc is None:
+        # gate_dd builds controls level by level, so any width validate() admits is cheap
+        nc = draw(st.integers(1, min(n - 1, MAX_UNITARY_WIRES - nt)))
     wires = draw(st.lists(st.integers(0, n - 1), min_size=nc + nt, max_size=nc + nt, unique=True))
     angle = draw(st.floats(-math.pi, math.pi)) if kind in PARAMETERIZED_KINDS else None
     return Gate(kind, angle, controls=tuple(wires[:nc]), targets=tuple(wires[nc:]))
