@@ -18,9 +18,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dd, qasm
 from .generators import FAMILIES, build_family
-from .oracle import MAX_ORACLE_QUBITS, max_abs_diff, simulate_dense
+from .oracle import MAX_ORACLE_QUBITS, DenseState, max_abs_diff, simulate_dense
 from .reorder import ReorderMode
 from .runner import BenchRow, bench, run
 
@@ -219,8 +221,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     result = run(program.circuit, ReorderMode(args.reorder))
-    reference = simulate_dense(program.circuit)
-    err = max_abs_diff(reference, result.statevector())
+    # the oracle answers in wire labels and statevector() in original labels:
+    # original qubit q's bit is the bit of wire mapping[q]
+    wires = simulate_dense(program.circuit).amplitudes.reshape((2,) * n)
+    original = np.transpose(wires, program.circuit.output_permutation.mapping).reshape(-1)
+    err = max_abs_diff(DenseState(original, n), result.statevector())
     ok = err <= 1e-9
     if args.json:
         print(json.dumps({

@@ -59,21 +59,10 @@ def simulate_dense(circuit: Circuit) -> DenseState:
     return DenseState(np.ascontiguousarray(psi.reshape(-1)), n)
 
 
-def max_abs_diff(a: DenseState, b) -> float:
-    """Largest |a_i - b_i| over all 2^n amplitudes.
-
-    b may be another DenseState, a plain complex vector, or a decision-diagram
-    edge (converted through dd.to_statevector using a's qubit count).
-    """
+def max_abs_diff(a: DenseState, b: DenseState | np.ndarray) -> float:
+    """Largest |a_i - b_i| over all 2^n amplitudes; b is a DenseState or a complex vector."""
     va = a.amplitudes
-    if isinstance(b, DenseState):
-        vb = b.amplitudes
-    elif isinstance(b, np.ndarray):
-        vb = b
-    else:
-        from . import dd
-
-        vb = dd.to_statevector(b, a.num_qubits)
+    vb = b.amplitudes if isinstance(b, DenseState) else b
     if va.shape != vb.shape:
         raise ValueError(f"state size mismatch: {va.shape} vs {vb.shape}")
     return float(np.max(np.abs(va - vb)))

@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
+from qdd.circuit import Circuit, h, swap, x
 from qdd.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
-from qdd.qasm import parse
+from qdd.qasm import emit, parse
+from qdd.reorder import ReorderMode, reorder
+from qdd.runner import run
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +96,14 @@ def test_sim_parse_error_reports_line(tmp_path, capsys):
     assert code == EXIT_USAGE and "unknown gate" in err and "line 3" in err
 
 
+def test_sim_deeply_nested_angle_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "deep.qasm"
+    f.write_text(f"OPENQASM 2.0;\nqreg q[1];\np({'(' * 400}1{')' * 400}) q[0];\n")
+    code, _, err = run_cli(capsys, "sim", str(f))
+    assert code == EXIT_USAGE and err.startswith("sim: ") and "line 3" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["sim", "verify"])
 def test_mcp_wider_than_dense_limit_is_usage_error(tmp_path, capsys, command):
     f = tmp_path / "wide.qasm"
@@ -140,6 +151,23 @@ def test_verify_detects_mismatch(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", str(f), "--json")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_compares_in_original_labels(tmp_path, capsys, monkeypatch):
+    # the file carries an output_permutation sidecar (2 1 0)
+    out, _ = reorder(Circuit(3, (x(0), h(1), swap(0, 2))), ReorderMode.ALL)
+    f = tmp_path / "relabeled.qasm"
+    f.write_text(emit(out))
+    for mode in ReorderMode:
+        code, out_text, _ = run_cli(capsys, "verify", str(f), "--reorder", mode.value, "--json")
+        assert code == EXIT_OK, out_text
+    # a result that drops the sidecar answers in wire labels and must be caught
+    import qdd.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run", lambda c, mode: run(Circuit(c.num_qubits, c.gates), mode))
+    code, out_text, _ = run_cli(capsys, "verify", str(f), "--json")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out_text)["ok"] is False
 
 
 def test_verify_rejects_oversized_register(tmp_path, capsys):

@@ -93,12 +93,14 @@ def test_angle_expression_grammar():
         "p(-(1+2)*0.5) q[0];\n"
         "p(1.5e-3) q[0];\n"
         "p((pi)) q[0];\n"
+        f"p({'+'.join(['1'] * 20000)}) q[0];\n"  # chain length is not nesting depth
     )
     angles = [g.angle for g in prog.circuit.gates]
     assert angles[0] == pytest.approx(math.pi / 4)
     assert angles[1] == pytest.approx(-1.5)
     assert angles[2] == pytest.approx(0.0015)
     assert angles[3] == pytest.approx(math.pi)
+    assert angles[4] == 20000.0
 
 
 def test_angle_division_by_zero_is_an_error():
@@ -123,6 +125,14 @@ def test_angle_division_by_zero_is_an_error():
         ("OPENQASM 2.0;\nqreg q[0];\n", ">= 1"),
         ("OPENQASM 2.0;\nqreg q[2];\nswap q[0];\n", "exactly two"),
         ("OPENQASM 2.0;\nqreg q[2];\nh q[0], ;\n", "trailing ','"),
+        pytest.param(f"OPENQASM 2.0;\nqreg q[1];\np({'(' * 400}1{')' * 400}) q[0];\n", "nests deeper",
+                     id="angle-400-parentheses-deep"),
+        pytest.param(f"OPENQASM 2.0;\nqreg q[1];\np({'-' * 2000}1) q[0];\n", "nests deeper",
+                     id="angle-2000-unary-minuses"),
+        ('OPENQASM 2.0;\ninclude "qelib1.inc;\nqreg q[1];\n', "malformed include"),
+        ('OPENQASM 2.0;\ninclude "qelib1\n.inc";\nqreg q[1];\n', "malformed include"),
+        ("OPENQASM 2.0;\nqreg q[1];\nmeasure q[0];\n", "malformed measure"),
+        ("OPENQASM 2.0;\nqreg q[2];\nbarrier q[0] ) q[1] -> pi;\n", "malformed barrier"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -137,6 +147,10 @@ def test_error_carries_line_number():
         assert exc.line == 3
     else:
         pytest.fail("expected QasmError")
+    # a statement's line is where its text starts, and the message quotes it
+    with pytest.raises(QasmError, match=r"at line 5: 'foo\\n  q\[0\]'") as info:
+        parse("OPENQASM 2.0;\nqreg q[2];\n\n  // comment\nfoo\n  q[0];\n")
+    assert info.value.line == 5
 
 
 def test_permutation_comment_size_mismatch_is_an_error():
