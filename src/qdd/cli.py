@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,19 @@ from . import dd, qasm
 from .generators import FAMILIES, build_family
 from .oracle import MAX_ORACLE_QUBITS, DenseState, max_abs_diff, simulate_dense
 from .reorder import ReorderMode
-from .runner import BenchRow, bench, run
+from .runner import RunStats, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_TIMEOUT = 3
+
+# bench table header -> payload key
+_BENCH_COLUMNS = {
+    "family": "family", "n": "qubits", "mode": "mode", "status": "status",
+    "wall_s": "wall_time_s", "peak_nodes": "peak_nodes", "final_nodes": "final_nodes",
+    "swaps_removed": "swaps_removed", "gates": "gates_applied",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,10 +49,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_source(path: str) -> tuple[str, str]:
-    if path == "-":
-        return sys.stdin.read(), "<stdin>"
-    return Path(path).read_text(encoding="utf-8"), path
+class _UsageError(Exception):
+    """Bad arguments or input; main() prints `command: message` and exits 1."""
+
+
+def _load(path: str) -> tuple[qasm.ParsedProgram, str]:
+    """Read and parse a QASM file, or stdin for `-`; returns it with its display name."""
+    try:
+        if path == "-":
+            source, name = sys.stdin.read(), "<stdin>"
+        else:
+            source, name = Path(path).read_text(encoding="utf-8"), path
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from None
+    try:
+        return qasm.parse(source), name
+    except qasm.QasmError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _report(payload: dict, as_json: bool) -> None:
+    """Print one result as JSON, or as `key: value` lines."""
+    if as_json:
+        print(json.dumps(payload, indent=2))
+        return
+    for key, value in payload.items():
+        if key == "queries":
+            for q in value:
+                re, im = q["amplitude"]
+                print(f"amplitude[{q['bits']}]: {re:+.12f}{im:+.12f}j  p={q['probability']:.12f}")
+        else:
+            print(f"{key}: {value}")
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -66,8 +101,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         circuit = build_family(args.family, args.qubits, phase_numerator=args.phase_k)
     except ValueError as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from None
     text = qasm.emit(circuit)
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
@@ -77,148 +111,76 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    try:
-        source, name = _read_source(args.file)
-    except OSError as exc:
-        print(f"sim: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = qasm.parse(source)
-    except qasm.QasmError as exc:
-        print(f"sim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    mode = ReorderMode(args.reorder)
+    program, name = _load(args.file)
     n = program.circuit.num_qubits
     for bits in args.query:
         if len(bits) != n or any(c not in "01" for c in bits):
-            print(f"sim: query {bits!r} is not a {n}-bit string", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"query {bits!r} is not a {n}-bit string")
 
     try:
-        result = run(program.circuit, mode, timeout_s=args.timeout)
+        result = run(program.circuit, ReorderMode(args.reorder), timeout_s=args.timeout)
     except dd.SimulationTimeout as exc:
-        if args.json:
-            print(json.dumps({"status": "timeout", "file": name, "detail": str(exc)}))
-        else:
-            print(f"sim: {exc}", file=sys.stderr)
+        _report({"status": "timeout", "file": name, "detail": str(exc)}, args.json)
         return EXIT_TIMEOUT
 
-    stats = result.stats
-    norm = math.sqrt(dd.norm_squared(result.final_state))
     queries = []
     for bits in args.query:
         amp = result.amplitude(bits)
-        queries.append({
-            "bits": bits,
-            "amplitude": [amp.real, amp.imag],
-            "probability": abs(amp) ** 2,
-        })
-
-    if args.json:
-        payload = {
-            "status": "ok",
-            "file": name,
-            "qubits": n,
-            "mode": mode.value,
-            "gates_applied": stats.gates_applied,
-            "swaps_removed": stats.swaps_removed,
-            "wall_time_s": stats.wall_time_s,
-            "peak_nodes": stats.peak_nodes,
-            "final_nodes": stats.final_nodes,
-            "norm": norm,
-            "output_permutation": list(result.output_permutation.mapping),
-            "queries": queries,
-        }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-
-    perm = result.output_permutation
-    print(f"file: {name}")
-    print(f"qubits: {n}")
-    print(f"mode: {mode.value}")
-    print(f"gates_applied: {stats.gates_applied}")
-    print(f"swaps_removed: {stats.swaps_removed}")
-    print(f"wall_time_s: {stats.wall_time_s:.6f}")
-    print(f"peak_nodes: {stats.peak_nodes}")
-    print(f"final_nodes: {stats.final_nodes}")
-    print(f"norm: {norm:.12f}")
-    print("output_permutation: " + ("identity" if perm.is_identity else " ".join(map(str, perm.mapping))))
-    for q in queries:
-        re, im = q["amplitude"]
-        print(f"amplitude[{q['bits']}]: {re:+.12f}{im:+.12f}j  p={q['probability']:.12f}")
+        queries.append({"bits": bits, "amplitude": [amp.real, amp.imag], "probability": abs(amp) ** 2})
+    _report({
+        "status": "ok",
+        "file": name,
+        "qubits": n,
+        "mode": args.reorder,
+        **asdict(result.stats),
+        "norm": math.sqrt(dd.norm_squared(result.final_state)),
+        "output_permutation": list(result.output_permutation.mapping),
+        "queries": queries,
+    }, args.json)
     return EXIT_OK
 
 
-def _format_bench_table(rows: list[BenchRow]) -> str:
-    headers = ["family", "n", "mode", "status", "wall_s", "peak_nodes", "final_nodes", "swaps_removed", "gates"]
-    table = [headers]
-    for r in rows:
-        table.append([
-            r.family,
-            str(r.num_qubits),
-            r.mode.value,
-            r.status,
-            f"{r.wall_time_s:.3f}" if r.wall_time_s is not None else "-",
-            str(r.peak_nodes) if r.peak_nodes is not None else "-",
-            str(r.final_nodes) if r.final_nodes is not None else "-",
-            str(r.swaps_removed) if r.swaps_removed is not None else "-",
-            str(r.gates_applied) if r.gates_applied is not None else "-",
-        ])
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+def _format_bench_table(rows: list[dict]) -> str:
+    table = [list(_BENCH_COLUMNS)]
+    for row in rows:
+        values = [row[key] for key in _BENCH_COLUMNS.values()]
+        table.append(["-" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v) for v in values])
+    widths = [max(len(row[i]) for row in table) for i in range(len(_BENCH_COLUMNS))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in table]
     return "\n".join(lines)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    """One row per (size, mode), each on a fresh package; a timed-out row's stats are null."""
     try:
         sizes = _parse_sizes(args.qubits)
         modes = _parse_modes(args.reorder)
     except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    rows = bench(args.family, sizes, modes, timeout_s=args.timeout)
+        raise _UsageError(str(exc)) from None
+    no_stats = dict.fromkeys(f.name for f in fields(RunStats))
+    rows = []
+    for n in sizes:
+        circuit = build_family(args.family, n)
+        for mode in modes:
+            try:
+                status, stats = "ok", asdict(run(circuit, mode, timeout_s=args.timeout).stats)
+            except dd.SimulationTimeout:
+                status, stats = "timeout", no_stats
+            rows.append({"family": args.family, "qubits": n, "mode": mode.value, "status": status, **stats})
     if args.json:
-        payload = [
-            {
-                "family": r.family,
-                "qubits": r.num_qubits,
-                "mode": r.mode.value,
-                "status": r.status,
-                "wall_time_s": r.wall_time_s,
-                "peak_nodes": r.peak_nodes,
-                "final_nodes": r.final_nodes,
-                "swaps_removed": r.swaps_removed,
-                "gates_applied": r.gates_applied,
-            }
-            for r in rows
-        ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(rows, indent=2))
     else:
         print(_format_bench_table(rows))
-    if rows and all(r.status == "timeout" for r in rows):
+    if all(r["status"] == "timeout" for r in rows):
         return EXIT_TIMEOUT
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        source, name = _read_source(args.file)
-    except OSError as exc:
-        print(f"verify: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = qasm.parse(source)
-    except qasm.QasmError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    program, name = _load(args.file)
     n = program.circuit.num_qubits
-    cap = min(args.max_qubits, MAX_ORACLE_QUBITS)
-    if n > cap:
-        print(f"verify: {n} qubits exceeds the dense-reference cap of {cap}", file=sys.stderr)
-        return EXIT_USAGE
+    if n > MAX_ORACLE_QUBITS:
+        raise _UsageError(f"{n} qubits exceeds the dense-reference cap of {MAX_ORACLE_QUBITS}")
 
     result = run(program.circuit, ReorderMode(args.reorder))
     # the oracle answers in wire labels and statevector() in original labels:
@@ -227,20 +189,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     original = np.transpose(wires, program.circuit.output_permutation.mapping).reshape(-1)
     err = max_abs_diff(DenseState(original, n), result.statevector())
     ok = err <= 1e-9
-    if args.json:
-        print(json.dumps({
-            "file": name,
-            "qubits": n,
-            "mode": args.reorder,
-            "max_abs_diff": err,
-            "ok": ok,
-        }))
-    else:
-        print(f"file: {name}")
-        print(f"qubits: {n}")
-        print(f"mode: {args.reorder}")
-        print(f"max_abs_diff: {err:.3e}")
-        print(f"verdict: {'ok' if ok else 'MISMATCH'}")
+    _report({
+        "file": name,
+        "qubits": n,
+        "mode": args.reorder,
+        **asdict(result.stats),
+        "max_abs_diff": err,
+        "ok": ok,
+    }, args.json)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -279,8 +235,6 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="cross-check a QASM file against dense simulation")
     verify.add_argument("file", help="QASM path, or - for stdin")
     verify.add_argument("--reorder", choices=[m.value for m in ReorderMode], default="none")
-    verify.add_argument("--max-qubits", type=int, default=12,
-                        help="refuse files larger than this (dense cost is 2^n)")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
@@ -288,9 +242,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

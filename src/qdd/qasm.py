@@ -23,7 +23,8 @@ sidecar comment
 
 meaning original qubit q now lives on wire p_q. parse() restores that
 comment into Circuit.output_permutation, which is how transformed circuits
-keep answering amplitude queries in original labels.
+keep answering amplitude queries in original labels. A comment that starts
+with `output_permutation` but is not of that form is an error, not a comment.
 """
 
 from __future__ import annotations
@@ -199,8 +200,11 @@ def parse(text: str) -> ParsedProgram:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         kept, _, comment = raw.partition("//")
         code.append(kept)
-        m = _PERM_COMMENT_RE.fullmatch(comment.strip())
-        if m:
+        comment = comment.strip()
+        if comment.startswith("output_permutation"):
+            m = _PERM_COMMENT_RE.fullmatch(comment)
+            if m is None:
+                raise QasmError("malformed output_permutation comment", lineno, comment)
             try:
                 perm = QubitPermutation(tuple(int(v) for v in m[1].split()))
             except ValueError as exc:

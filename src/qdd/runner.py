@@ -1,4 +1,4 @@
-"""Simulation driver: run one circuit, or benchmark a family across sizes.
+"""Simulation driver: run one circuit and report where its time went.
 
 run() is the single entry point the CLI and the tests share. It applies the
 requested rewrite mode first, then simulates the transformed circuit on a
@@ -8,9 +8,11 @@ qubit labels; the stored permutation translates them.
 
 Wall time covers package construction through the last gate, so it includes
 unique-table and compute-cache work but not the rewrite pass or validation.
-Peak nodes is sampled from the package's live-node counter after every gate,
-which bounds the true in-flight peak from below but is exact for the
-between-gate states that dominate memory.
+RunStats splits it: gate DD construction, apply, the package's own sweeps,
+and the closing young-generation pass; what is left is package setup and
+loop overhead. Peak nodes is sampled from the package's live-node counter
+after every gate, which bounds the true in-flight peak from below but is
+exact for the between-gate states that dominate memory.
 
 Python's cyclic garbage collector is suspended, and the interpreter's
 recursion limit raised, for the simulation only. The package frees nodes
@@ -32,18 +34,23 @@ import numpy as np
 
 from . import dd
 from .circuit import Circuit, QubitPermutation, validate
-from .generators import build_family
 from .reorder import ReorderMode, permute_bits, reorder
 
 
 @dataclass(frozen=True)
 class RunStats:
+    """What one run() measured; the *_s fields are disjoint parts of wall_time_s."""
+
     wall_time_s: float
     gates_applied: int
     swaps_removed: int
     peak_nodes: int
     final_nodes: int
-    mode: ReorderMode
+    gate_dd_s: float  # building each gate's operator DD
+    apply_s: float  # multiplying it into the state
+    collect_s: float  # pinning the new state and maybe_collect's sweeps
+    gc_pass_s: float  # the closing gc.collect(0); 0 when the caller had the GC off
+    young_objects: int  # GC-tracked objects the run left for that pass
 
 
 @dataclass(frozen=True)
@@ -84,9 +91,11 @@ def run(
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
+    young_before = gc.get_count()[0]
     # apply/add recurse one frame set per level
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 4 * circuit.num_qubits + 200))
+    gate_dd_s = apply_s = collect_s = gc_pass_s = 0.0
     try:
         t0 = perf_counter()
         deadline = t0 + timeout_s if timeout_s is not None else None
@@ -96,24 +105,34 @@ def run(
         state = pkg.basis_state("0" * circuit.num_qubits)
         pkg.inc_ref(state)
         peak = pkg.node_count
+        t = perf_counter()
         for gate in transformed.gates:
-            if deadline is not None and perf_counter() > deadline:
+            if deadline is not None and t > deadline:
                 raise dd.SimulationTimeout(f"exceeded {timeout_s:.3g}s before gate application")
             op = pkg.gate_dd(gate)
+            t_built = perf_counter()
             new_state = pkg.apply(op, state)
+            t_applied = perf_counter()
             pkg.inc_ref(new_state)
             pkg.dec_ref(state)
             state = new_state
             if pkg.node_count > peak:
                 peak = pkg.node_count
             pkg.maybe_collect((state,))
+            gate_dd_s += t_built - t
+            apply_s += t_applied - t_built
+            t = perf_counter()
+            collect_s += t - t_applied
     finally:
         sys.setrecursionlimit(old_limit)
+        young_objects = gc.get_count()[0] - young_before
         if gc_was_enabled:
             gc.enable()
             # the young generation holds every object the run made; its one
             # pass over them is the run's cost, so it is paid here, on the clock
+            t = perf_counter()
             gc.collect(0)
+            gc_pass_s = perf_counter() - t
     wall = perf_counter() - t0
 
     stats = RunStats(
@@ -122,51 +141,10 @@ def run(
         swaps_removed=report.swaps_removed,
         peak_nodes=peak,
         final_nodes=dd.count_nodes(state),
-        mode=mode,
+        gate_dd_s=gate_dd_s,
+        apply_s=apply_s,
+        collect_s=collect_s,
+        gc_pass_s=gc_pass_s,
+        young_objects=young_objects,
     )
     return RunResult(state, transformed.output_permutation, stats, circuit.num_qubits, pkg)
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    family: str
-    num_qubits: int
-    mode: ReorderMode
-    status: str  # "ok" or "timeout"
-    wall_time_s: float | None
-    peak_nodes: int | None
-    final_nodes: int | None
-    swaps_removed: int | None
-    gates_applied: int | None
-
-
-def bench(
-    family: str,
-    sizes: list[int],
-    modes: list[ReorderMode],
-    *,
-    timeout_s: float = 120.0,
-) -> list[BenchRow]:
-    """One row per (size, mode), each on a fresh package.
-
-    A timed-out row reports status "timeout" with blank measurements; other
-    rows are measured normally.
-    """
-    rows: list[BenchRow] = []
-    for n in sizes:
-        circuit = build_family(family, n)
-        for mode in modes:
-            try:
-                result = run(circuit, mode, timeout_s=timeout_s)
-            except dd.SimulationTimeout:
-                rows.append(BenchRow(family, n, mode, "timeout", None, None, None, None, None))
-                continue
-            s = result.stats
-            rows.append(
-                BenchRow(
-                    family, n, mode, "ok",
-                    s.wall_time_s, s.peak_nodes, s.final_nodes,
-                    s.swaps_removed, s.gates_applied,
-                )
-            )
-    return rows

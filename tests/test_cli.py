@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, JSON output."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -8,9 +9,13 @@ import pytest
 
 from qdd.circuit import Circuit, h, swap, x
 from qdd.cli import EXIT_MISMATCH, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE, main
+from qdd.oracle import MAX_ORACLE_QUBITS
 from qdd.qasm import emit, parse
 from qdd.reorder import ReorderMode, reorder
-from qdd.runner import run
+from qdd.runner import RunStats, run
+
+STATS_KEYS = {f.name for f in dataclasses.fields(RunStats)}
+VARYING_KEYS = {"wall_time_s", "gate_dd_s", "apply_s", "collect_s", "gc_pass_s", "young_objects"}
 
 
 def run_cli(capsys, *argv):
@@ -172,7 +177,7 @@ def test_verify_compares_in_original_labels(tmp_path, capsys, monkeypatch):
 
 def test_verify_rejects_oversized_register(tmp_path, capsys):
     f = tmp_path / "big.qasm"
-    run_cli(capsys, "gen", "ghz", "--qubits", "13", "-o", str(f))
+    run_cli(capsys, "gen", "ghz", "--qubits", str(MAX_ORACLE_QUBITS + 1), "-o", str(f))
     code, _, err = run_cli(capsys, "verify", str(f))
     assert code == EXIT_USAGE and "exceeds" in err
 
@@ -198,6 +203,50 @@ def test_bench_json_rows(capsys):
     assert [r["qubits"] for r in rows] == [3, 5]
     assert all(r["status"] == "ok" for r in rows)
     assert all(r["swaps_removed"] >= 1 for r in rows)
+
+
+def test_json_keys_cover_the_run_stats(tmp_path, capsys):
+    f = tmp_path / "qft3.qasm"
+    run_cli(capsys, "gen", "qft", "--qubits", "3", "-o", str(f))
+    sim_keys = {"status", "file", "qubits", "mode", "gates_applied", "swaps_removed", "wall_time_s",
+                "peak_nodes", "final_nodes", "norm", "output_permutation", "queries"}
+    bench_keys = {"family", "qubits", "mode", "status", "wall_time_s", "peak_nodes", "final_nodes",
+                  "swaps_removed", "gates_applied"}
+    verify_keys = {"file", "qubits", "mode", "max_abs_diff", "ok"}
+    _, out, _ = run_cli(capsys, "sim", str(f), "--json")
+    assert json.loads(out).keys() >= sim_keys | STATS_KEYS
+    _, out, _ = run_cli(capsys, "verify", str(f), "--json")
+    assert json.loads(out).keys() >= verify_keys | STATS_KEYS
+    _, out, _ = run_cli(capsys, "bench", "--family", "qft", "--qubits", "3", "--reorder", "all", "--json")
+    (row,) = json.loads(out)
+    assert row.keys() >= bench_keys | STATS_KEYS
+
+
+def test_bench_json_rows_shape_and_determinism(capsys):
+    argv = ("bench", "--family", "ghz", "--qubits", "3..4", "--reorder", "none,all", "--json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    rows = json.loads(out)
+    assert [(r["qubits"], r["mode"]) for r in rows] == [(3, "none"), (3, "all"), (4, "none"), (4, "all")]
+    assert all(r["status"] == "ok" and r["family"] == "ghz" for r in rows)
+    # everything but the clock and the interpreter's object count repeats exactly
+    _, again, _ = run_cli(capsys, *argv)
+
+    def repeatable(row):
+        return {k: v for k, v in row.items() if k not in VARYING_KEYS}
+
+    assert [repeatable(r) for r in rows] == [repeatable(r) for r in json.loads(again)]
+
+
+def test_bench_timeout_row_has_null_stats(capsys):
+    code, out, _ = run_cli(
+        capsys, "bench", "--family", "entangled_qft", "--qubits", "3,14",
+        "--reorder", "none", "--timeout", "0.05", "--json",
+    )
+    assert code == EXIT_OK  # one row finished
+    small, big = json.loads(out)
+    assert small["status"] == "ok" and big["status"] == "timeout"
+    assert all(big[k] is None for k in STATS_KEYS)
 
 
 def test_bench_all_timeouts_exit_code(capsys):

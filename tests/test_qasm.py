@@ -133,6 +133,8 @@ def test_angle_division_by_zero_is_an_error():
         ('OPENQASM 2.0;\ninclude "qelib1\n.inc";\nqreg q[1];\n', "malformed include"),
         ("OPENQASM 2.0;\nqreg q[1];\nmeasure q[0];\n", "malformed measure"),
         ("OPENQASM 2.0;\nqreg q[2];\nbarrier q[0] ) q[1] -> pi;\n", "malformed barrier"),
+        ("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n// output_permutation: 1 0 x\n", "malformed output_permutation comment at line 4"),
+        ("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n// output_permutation 1 0\n", "malformed output_permutation comment at line 4"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -1,4 +1,4 @@
-"""Run driver and bench harness."""
+"""Run driver: results, stats and the state it restores."""
 
 import gc
 import random
@@ -13,7 +13,7 @@ from qdd.circuit import Circuit, h, swap, x
 from qdd.generators import build_family, qft
 from qdd.oracle import max_abs_diff, simulate_dense
 from qdd.reorder import ReorderMode
-from qdd.runner import bench, run
+from qdd.runner import run
 from util import random_circuit
 
 
@@ -116,33 +116,22 @@ def test_gc_triggers_during_run(monkeypatch, family, n, mode):
     assert max_abs_diff(simulate_dense(c), result.statevector()) < 1e-9
 
 
-def test_bench_rows_shape_and_determinism():
-    rows = bench("ghz", [3, 4], [ReorderMode.NONE, ReorderMode.ALL])
-    assert [(r.num_qubits, r.mode) for r in rows] == [
-        (3, ReorderMode.NONE), (3, ReorderMode.ALL),
-        (4, ReorderMode.NONE), (4, ReorderMode.ALL),
-    ]
-    assert all(r.status == "ok" for r in rows)
-    assert all(r.family == "ghz" for r in rows)
-    # everything except wall_time is deterministic across repeats
-    again = bench("ghz", [3, 4], [ReorderMode.NONE, ReorderMode.ALL])
-    for a, b in zip(rows, again):
-        assert (a.peak_nodes, a.final_nodes, a.swaps_removed, a.gates_applied) == (
-            b.peak_nodes, b.final_nodes, b.swaps_removed, b.gates_applied
-        )
-
-
-def test_bench_empty_modes_gives_empty_table():
-    assert bench("ghz", [3], []) == []
-
-
-def test_bench_timeout_row_is_recorded_not_raised():
-    rows = bench("entangled_qft", [14], [ReorderMode.NONE], timeout_s=0.05)
-    assert len(rows) == 1
-    assert rows[0].status == "timeout"
-    assert rows[0].wall_time_s is None
-
-
 def test_wall_time_is_positive_and_reported():
     result = run(build_family("qft", 5))
     assert result.stats.wall_time_s > 0
+
+
+@pytest.mark.parametrize("gc_on", [True, False])
+def test_stats_split_the_wall_time(gc_on):
+    was_enabled = gc.isenabled()
+    gc.enable() if gc_on else gc.disable()
+    try:
+        s = run(build_family("qpe", 8), ReorderMode.ALL).stats
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    parts = (s.gate_dd_s, s.apply_s, s.collect_s, s.gc_pass_s)
+    assert all(p >= 0 for p in parts)
+    assert sum(parts) <= s.wall_time_s
+    assert s.young_objects > 0
+    # the closing pass is skipped when the caller had the collector off
+    assert (s.gc_pass_s > 0) if gc_on else (s.gc_pass_s == 0)
