@@ -11,12 +11,13 @@ q+1, or at the terminal when q is the bottom level. The amplitude of a basis
 state is the product of edge weights along the corresponding
 root-to-terminal path.
 
-A matrix edge `(w, TERMINAL)` entering level j stands for w times the
-identity on levels j..n-1, so a nonzero successor of a level-q matrix node
-sits at level q+1 or is the terminal. The identity is never written as
-nodes: `[1*T, 0; 0, 1*T]` (slot 3 in the same EPS bucket as 1) reduces to
-the terminal, and so does the identity wrapper `[e, 0; 0, e]` of a terminal
-`e`. A gate DD therefore has no node below its lowest wire.
+A matrix edge may skip levels, and every level it skips is the identity:
+an edge entering level j that points at a node of level k > j stands for
+the identity on levels j..k-1 times that node, and `(w, TERMINAL)` stands
+for w times the identity on levels j..n-1. The identity is never written as
+a node: `[e, 0; 0, e]` (slots 0 and 3 with the same child and weights in
+the same EPS bucket) reduces to `e` itself. A gate DD therefore holds nodes
+at the gate's own wires only.
 
 Canonical form: a node's successor weights are divided by the first nonzero
 successor weight, which is pulled onto the incoming edge, so that first
@@ -27,9 +28,7 @@ the zero edge itself. Structurally identical nodes, with weights compared
 after rounding each component to EPS-wide buckets, are interned in a
 per-level unique table, so equality of subdiagrams is object identity.
 Vector nodes go through one arity-2 routine that builds the unique-table
-key directly, and so do the identity wrappers `[e, 0; 0, e]` that embed a
-gate in the register; other matrix nodes go through a general routine. All
-three use the same key layout.
+key directly; matrix nodes go through a general routine.
 
 Matrix DDs have one producer, `gate_dd`, and one consumer, `apply`; `add`
 sums vector DDs only. `gate_dd` builds a gate bottom-up from its target
@@ -37,16 +36,17 @@ block (circuit.target_unitary), never from a dense 2^k x 2^k unitary. A
 target level folds that wire's row and column bit of the block. A control
 level makes each block `[d*I, 0; 0, e]`, where d is 1 when the block's
 remaining row and column bits agree and 0 otherwise: a control at |0>
-leaves the targets and every level below untouched. Every other level is
-an identity wrapper. So each level from 0 down to the gate's lowest wire
-costs at most 4^targets interning calls, whatever the number of controls.
+leaves the targets and every level below untouched. No other level is
+visited, so each wire costs at most 4^targets interning calls, whatever the
+number of controls and wherever the wires sit.
 
 The multiply and add recursions take each operand's weight and node as
 separate arguments and return one `(weight, node)` edge, so no edge tuple
 is built to pass an operand down. Multiplication skips zero matrix slots (a
-diagonal gate or an identity wrapper has two per node), and stops at a
-terminal matrix successor: the identity times a vector node is that vector
-node, scaled.
+diagonal gate has two per node). On a level the matrix skips, both vector
+branches are multiplied by the same matrix node, and a terminal matrix
+successor ends the recursion: the identity times a vector node is that
+vector node, scaled.
 
 Operation results are memoized in two dicts, each bounded at
 COMPUTE_TABLE_LIMIT entries and cleared wholesale when an insert finds it
@@ -116,8 +116,6 @@ TERMINAL = Node(-1, ())
 ZERO = (_C0, TERMINAL)
 ONE = (_C1, TERMINAL)
 _ID_TERMINAL = id(TERMINAL)
-# unique-table key of [1*T, 0; 0, 1*T], which reduces to the terminal
-_IDENTITY_KEY = (_KEY_ONE, 0, _ID_TERMINAL, 0, 0, _ID_TERMINAL, 0, 0, _ID_TERMINAL, _KEY_ONE, 0, _ID_TERMINAL)
 
 
 def _is_vector_edge(e: Edge) -> bool:
@@ -169,7 +167,7 @@ class DDPackage:
         return (pivot, node)
 
     def _norm_intern(self, level: int, edges: list[Edge]) -> Edge:
-        """Normalize successor weights, snap near-zeros, intern a matrix node (or reduce an identity)."""
+        """Normalize successor weights, snap near-zeros, intern a matrix node (or reduce [e, 0; 0, e] to e)."""
         pidx = -1
         pivot = _C0
         for i, e in enumerate(edges):
@@ -201,8 +199,8 @@ class DDPackage:
             key_parts.append(round(w.imag * _INV_EPS))
             key_parts.append(id(e[1]))
         key = tuple(key_parts)
-        if key == _IDENTITY_KEY:
-            return (pivot, TERMINAL)
+        if edges[1] is ZERO and edges[2] is ZERO and key[9:] == key[:3]:
+            return (pivot, edges[0][1])  # [e, 0; 0, e] is e: the identity on this level is skipped
         table = self._unique[level]
         node = table.get(key)
         if node is None:
@@ -210,26 +208,6 @@ class DDPackage:
             table[key] = node
             self.node_count += 1
         return (pivot, node)
-
-    def _wrap(self, level: int, e: Edge) -> Edge:
-        """Intern the identity wrapper [e, 0; 0, e]; _norm_intern's result and key for it.
-
-        A terminal e stands for an identity already, so the wrapper reduces to e.
-        """
-        w, n = e
-        if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
-            return ZERO
-        if n is TERMINAL:
-            return e
-        key = (_KEY_ONE, 0, id(n), 0, 0, _ID_TERMINAL, 0, 0, _ID_TERMINAL, _KEY_ONE, 0, id(n))
-        table = self._unique[level]
-        node = table.get(key)
-        if node is None:
-            # w / w, not _C1: complex division can leave an imaginary residue,
-            # and _norm_intern stores what it computes
-            node = table[key] = Node(level, (_C1, n, _C0, TERMINAL, _C0, TERMINAL, w / w, n))
-            self.node_count += 1
-        return (w, node)
 
     def _check_child(self, level: int, e: Edge) -> None:
         w, node = e
@@ -273,13 +251,13 @@ class DDPackage:
                 raise ValueError(f"gate wire {w} out of range for {n} qubits")
         # targets[0] is the most significant bit of the target block's index
         bit = {w: 1 << (len(gate.targets) - 1 - i) for i, w in enumerate(gate.targets)}
-        # blocks[r, c] spans the levels already walked (at first, the identity
-        # below the lowest wire, which the terminal stands for) with every
+        # blocks[r, c] spans every level below the wires not yet walked (at
+        # first only the identity, which the terminal stands for) with every
         # control above them at |1>; r, c hold the row/column bits of the
-        # targets not yet folded in
+        # targets not yet folded in. Levels between wires are skipped.
         rows = target_unitary(gate).tolist()
         blocks = {(r, c): (v, TERMINAL) for r, row in enumerate(rows) for c, v in enumerate(row)}
-        for level in range(max(wires), -1, -1):
+        for level in sorted(wires, reverse=True):
             b = bit.get(level)
             if b is not None:
                 blocks = {
@@ -289,14 +267,12 @@ class DDPackage:
                     for (r, c), e in blocks.items()
                     if not (r | c) & b
                 }
-            elif level in gate.controls:
+            else:
                 # a control at |0> leaves the targets and every level below untouched
                 blocks = {
                     (r, c): self._norm_intern(level, [ONE if r == c else ZERO, ZERO, ZERO, e])
                     for (r, c), e in blocks.items()
                 }
-            else:
-                blocks = {rc: self._wrap(level, e) for rc, e in blocks.items()}
         return blocks[0, 0]
 
     # -- arithmetic ---------------------------------------------------------
@@ -367,25 +343,29 @@ class DDPackage:
         r = cache.get(key)
         if r is not None:
             return (w * r[0], r[1])
-        m00, c00, m01, c01, m10, c10, m11, c11 = mn.edges
         v0, d0, v1, d1 = vn.edges
-        if not m00:
-            w0, n0 = self._mul(m01, c01, v1, d1) if m01 else ZERO
-        elif not m01:
-            w0, n0 = self._mul(m00, c00, v0, d0)
+        if mn.level != vn.level:  # the matrix skips this level: the identity here
+            w0, n0 = self._mul(_C1, mn, v0, d0)
+            w1, n1 = self._mul(_C1, mn, v1, d1)
         else:
-            wa, na = self._mul(m00, c00, v0, d0)
-            wb, nb = self._mul(m01, c01, v1, d1)
-            w0, n0 = self._add(wa, na, wb, nb)
-        if not m10:
-            w1, n1 = self._mul(m11, c11, v1, d1) if m11 else ZERO
-        elif not m11:
-            w1, n1 = self._mul(m10, c10, v0, d0)
-        else:
-            wa, na = self._mul(m10, c10, v0, d0)
-            wb, nb = self._mul(m11, c11, v1, d1)
-            w1, n1 = self._add(wa, na, wb, nb)
-        res = self._intern2(mn.level, w0, n0, w1, n1)
+            m00, c00, m01, c01, m10, c10, m11, c11 = mn.edges
+            if not m00:
+                w0, n0 = self._mul(m01, c01, v1, d1) if m01 else ZERO
+            elif not m01:
+                w0, n0 = self._mul(m00, c00, v0, d0)
+            else:
+                wa, na = self._mul(m00, c00, v0, d0)
+                wb, nb = self._mul(m01, c01, v1, d1)
+                w0, n0 = self._add(wa, na, wb, nb)
+            if not m10:
+                w1, n1 = self._mul(m11, c11, v1, d1) if m11 else ZERO
+            elif not m11:
+                w1, n1 = self._mul(m10, c10, v0, d0)
+            else:
+                wa, na = self._mul(m10, c10, v0, d0)
+                wb, nb = self._mul(m11, c11, v1, d1)
+                w1, n1 = self._add(wa, na, wb, nb)
+        res = self._intern2(vn.level, w0, n0, w1, n1)
         if len(cache) >= COMPUTE_TABLE_LIMIT:
             cache.clear()
         cache[key] = res

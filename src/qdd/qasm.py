@@ -1,10 +1,11 @@
 """Reader and writer for a small OpenQASM 2.0 subset.
 
-Recognized: the OPENQASM 2.0 header, exactly one qreg, any number of cregs,
-and the gate statements h, x, y, z, s, sdg, t, tdg, p, u1, rz, cx, cp, cu1,
-swap, mcp. u1 and cu1 are aliases of p and cp. The multi-controlled phase is
-written `mcp(theta) q[c0],q[c1],...,q[t];` with every argument but the last
-acting as a control. Three statement forms are skipped and recorded with a
+Recognized: the OPENQASM 2.0 header, exactly one qreg of at most 65536
+qubits (_MAX_QREG_SIZE), any number of cregs, and the gate statements h, x,
+y, z, s, sdg, t, tdg, p, u1, rz, cx, cp, cu1, swap, mcp. u1 and cu1 are
+aliases of p and cp. The multi-controlled phase is written
+`mcp(theta) q[c0],q[c1],...,q[t];` with every argument but the last acting
+as a control. Three statement forms are skipped and recorded with a
 reason: `include "name";`, `barrier ref, ...;` and `measure ref -> ref;`,
 where a ref is a register name with an optional `[index]`. The reader splits
 the text on `;` after dropping `//` comments, so a `;` inside an include
@@ -83,6 +84,9 @@ _KINDS = {k.value: k for k in GateKind} | {"u1": GateKind.P, "cu1": GateKind.CP}
 # parentheses plus unary signs open at once; keeps the evaluator's recursion
 # far inside Python's stack limit
 _MAX_ANGLE_DEPTH = 64
+# qubits in the one qreg; a broadcast `h q;` over it still parses in well
+# under a second
+_MAX_QREG_SIZE = 1 << 16
 
 
 def _int(digits: str) -> int:
@@ -248,6 +252,8 @@ def parse(text: str) -> ParsedProgram:
                 size = _int(m[2])
                 if size < 1:
                     raise QasmError("qreg size must be >= 1")
+                if size > _MAX_QREG_SIZE:
+                    raise QasmError(f"qreg size {size} exceeds the limit of {_MAX_QREG_SIZE}")
                 qreg = (m[1], size)
             elif name in _SKIPPED:
                 form, reason = _SKIPPED[name]

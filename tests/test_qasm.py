@@ -123,6 +123,7 @@ def test_angle_division_by_zero_is_an_error():
         ("OPENQASM 2.0;\nqreg q[2];\nh(0.5) q[0];\n", "takes no angle"),
         ("OPENQASM 2.0;\nqreg q[2];\nh r[0];\n", "unknown register"),
         ("OPENQASM 2.0;\nqreg q[0];\n", ">= 1"),
+        ("OPENQASM 2.0;\nqreg q[70000];\n", "exceeds the limit of 65536 at line 2"),
         ("OPENQASM 2.0;\nqreg q[2];\nswap q[0];\n", "exactly two"),
         ("OPENQASM 2.0;\nqreg q[2];\nh q[0], ;\n", "trailing ','"),
         pytest.param(f"OPENQASM 2.0;\nqreg q[1];\np({'(' * 400}1{')' * 400}) q[0];\n", "nests deeper",

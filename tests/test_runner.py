@@ -108,7 +108,7 @@ def test_released_result_is_freed_by_reference_counting():
 @pytest.mark.parametrize("mode", list(ReorderMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("family, n", [("entangled_qft", 6), ("qpe", 5)])
 def test_gc_triggers_during_run(monkeypatch, family, n, mode):
-    # sweeps in mid-run drop identity-chain nodes that later gates rebuild
+    # sweeps in mid-run drop nodes of earlier gate DDs that later gates rebuild
     monkeypatch.setattr(dd, "GC_THRESHOLD", 64)
     c = build_family(family, n)
     result = run(c, mode)

@@ -6,9 +6,10 @@ digest per circuit (all modes folded), then a `results` digest over the
 statevectors and final node counts only, and last one digest over
 everything. An engine change that claims to keep results bit-identical must
 print the same `results` line as its parent, and the same last line unless
-it changes peak node counts on purpose:
+it changes peak node counts on purpose. The two summary lines are committed
+in tools/fingerprint.expected, and CI compares them:
 
-    python3 tools/fingerprint.py
+    python3 tools/fingerprint.py | tail -n 2 | diff tools/fingerprint.expected -
 
 Run from the repository root; qdd is imported from `src/` and the random
 circuit builder from `tests/util.py`.
