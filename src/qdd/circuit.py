@@ -9,6 +9,8 @@ A gate kind is defined once, by its wire counts (ARITY) and its target block
 the first target as the most significant bit. Every control's |0> branch is
 the identity. The decision-diagram engine builds a gate level by level from
 that block; gate_unitary embeds it in the dense matrix the oracle uses.
+A valid gate is defined once too, by check_gate: validate applies it to
+every gate of a circuit, and the QASM reader and gate_dd call it per gate.
 """
 
 from __future__ import annotations
@@ -198,49 +200,49 @@ class Circuit:
             raise ValueError("output_permutation size does not match num_qubits")
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed circuit invariant; gate_index is None for circuit-level issues."""
+def check_gate(gate: Gate, num_qubits: int) -> None:
+    """Raise ValueError unless the gate is valid on num_qubits wires.
 
-    gate_index: int | None
-    message: str
+    The one definition of a valid gate: the kind's wire counts, an MCP over
+    at most MAX_UNITARY_WIRES wires (the oracle must accept every valid
+    circuit), distinct in-range wires, and a finite angle exactly when the
+    kind takes one.
+    """
+    kind = gate.kind
+    wires = gate.wires
+    nc, nt = ARITY[kind]
+    if nc is None:
+        if not gate.controls or len(gate.targets) != nt:
+            raise ValueError(f"mcp needs >=1 control and 1 target, got {gate.controls}/{gate.targets}")
+        if len(wires) > MAX_UNITARY_WIRES:
+            raise ValueError(f"mcp over {len(wires)} wires exceeds the {MAX_UNITARY_WIRES}-wire dense limit")
+    elif len(gate.controls) != nc or len(gate.targets) != nt:
+        raise ValueError(
+            f"{kind.value} needs {nc} control(s) and {nt} target(s), got {len(gate.controls)}/{len(gate.targets)}")
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"duplicate wire in {kind.value}: {wires}")
+    for w in wires:
+        if not 0 <= w < num_qubits:
+            raise ValueError(f"wire {w} out of range for {num_qubits} qubits")
+    if kind in PARAMETERIZED_KINDS:
+        if gate.angle is None:
+            raise ValueError(f"{kind.value} requires an angle")
+        if not math.isfinite(gate.angle):
+            raise ValueError(f"{kind.value} angle must be finite, got {gate.angle}")
+    elif gate.angle is not None:
+        raise ValueError(f"{kind.value} takes no angle")
 
-    def __str__(self) -> str:
-        where = "circuit" if self.gate_index is None else f"gate {self.gate_index}"
-        return f"{where}: {self.message}"
 
-
-def validate(circuit: Circuit) -> list[Violation]:
-    """Return every invariant violation; an empty list means the circuit is ok."""
-    out: list[Violation] = []
+def validate(circuit: Circuit) -> None:
+    """Raise ValueError("invalid circuit: ...") naming the first problem; return None if there is none."""
     n = circuit.num_qubits
     if n < 1:
-        out.append(Violation(None, f"num_qubits must be >= 1, got {n}"))
-        return out
+        raise ValueError(f"invalid circuit: num_qubits must be >= 1, got {n}")
     for i, g in enumerate(circuit.gates):
-        nc, nt = ARITY[g.kind]
-        if nc is None:
-            if len(g.controls) < 1 or len(g.targets) != nt:
-                out.append(Violation(i, f"mcp needs >=1 control and 1 target, got {g.controls}/{g.targets}"))
-            elif len(g.wires) > MAX_UNITARY_WIRES:  # the oracle must accept every valid circuit
-                out.append(Violation(i, f"mcp over {len(g.wires)} wires exceeds the {MAX_UNITARY_WIRES}-wire dense limit"))
-        elif len(g.controls) != nc or len(g.targets) != nt:
-            out.append(Violation(
-                i, f"{g.kind.value} needs {nc} control(s) and {nt} target(s), got {len(g.controls)}/{len(g.targets)}"))
-        wires = g.wires
-        if len(set(wires)) != len(wires):
-            out.append(Violation(i, f"duplicate wire in {g.kind.value}: {wires}"))
-        for w in wires:
-            if not 0 <= w < n:
-                out.append(Violation(i, f"wire {w} out of range for {n} qubits"))
-        if g.kind in PARAMETERIZED_KINDS:
-            if g.angle is None:
-                out.append(Violation(i, f"{g.kind.value} requires an angle"))
-            elif not math.isfinite(g.angle):
-                out.append(Violation(i, f"{g.kind.value} angle must be finite, got {g.angle}"))
-        elif g.angle is not None:
-            out.append(Violation(i, f"{g.kind.value} takes no angle"))
-    return out
+        try:
+            check_gate(g, n)
+        except ValueError as exc:
+            raise ValueError(f"invalid circuit: gate {i}: {exc}") from None
 
 
 def relabel_gate(gate: Gate, perm: QubitPermutation) -> Gate:

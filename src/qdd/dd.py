@@ -48,28 +48,26 @@ branches are multiplied by the same matrix node, and a terminal matrix
 successor ends the recursion: the identity times a vector node is that
 vector node, scaled.
 
-Operation results are memoized in two dicts, each bounded at
+Operation results are memoized in two dicts that live for one operation:
+apply() and add() empty them when they return or raise, so no entry
+outlives the call that made it. Within that call each dict is bounded at
 COMPUTE_TABLE_LIMIT entries and cleared wholesale when an insert finds it
-full. The multiply memo keys on the operand node pair only: incoming edge
-weights are scalars that commute through the product, so they are factored
-out and multiplied back onto the cached result. A sum could be factored the
-same way, `a + b = wa*(na + (wb/wa)*nb)`, but the add memo deliberately
-keys on the full operand edges, weights included, while ROADMAP item 1
-(measure the paper's claim under a factored key) is open. On phase-rich
-states it seldom sees the same key twice: on `qpe` m=17 `none` it makes
-174,744 lookups with 0 hits, against 1,304 lookups with 508 hits under a
-ratio key. A SWAP between distant wires makes the add recursion combine
-subdiagrams under many distinct weight products, each sum new to the memo;
-that is the work the swap-elimination rewrite saves. The `qpe` gap therefore
-rests on this key: under a ratio key, `run()` on `qpe` m=17 takes 0.025 s
-in `none` mode against 0.016 s in `all`, where this key makes `none` take
-0.68 s. Whether the paper's baseline simulator factors its add key was not
-checked.
+full: the widest SWAP of `qpe` with m counting qubits, in `none` mode,
+fills the add memo with 2^m - 2 entries. The multiply memo keys on the operand node pair
+only: incoming edge weights are scalars that commute through the product,
+so they are factored out and multiplied back onto the cached result. A sum
+could be factored the same way, `a + b = wa*(na + (wb/wa)*nb)`, but the add
+memo deliberately keys on the full operand edges, weights included, while
+ROADMAP item 1 (measure the paper's claim under a factored key) is open. A
+SWAP between distant wires makes the add recursion combine subdiagrams
+under many distinct weight products, each sum new to the memo; that is the
+work the swap-elimination rewrite saves, so the `qpe` gap rests on this
+key. README "Benchmarking" gives the lookups, hits and times measured under
+both keys.
 
 Garbage collection is explicit: nodes carry a reference count used to pin
 roots, and a mark-and-sweep pass runs when the unique tables grow past
-GC_THRESHOLD nodes (or on request), dropping dead nodes and clearing the
-compute tables.
+GC_THRESHOLD nodes (or on request), dropping dead nodes.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from time import perf_counter
 
-from .circuit import Gate, target_unitary
+from .circuit import Gate, check_gate, target_unitary
 
 EPS = 1e-12
 _INV_EPS = 1.0 / EPS
@@ -242,13 +240,7 @@ class DDPackage:
 
     def gate_dd(self, gate: Gate) -> Edge:
         """Matrix DD of the gate embedded in the full register (identity elsewhere)."""
-        wires = gate.wires
-        n = self.num_qubits
-        if len(set(wires)) != len(wires):
-            raise ValueError(f"gate wires must be distinct, got {wires}")
-        for w in wires:
-            if not 0 <= w < n:
-                raise ValueError(f"gate wire {w} out of range for {n} qubits")
+        check_gate(gate, self.num_qubits)
         # targets[0] is the most significant bit of the target block's index
         bit = {w: 1 << (len(gate.targets) - 1 - i) for i, w in enumerate(gate.targets)}
         # blocks[r, c] spans every level below the wires not yet walked (at
@@ -257,7 +249,7 @@ class DDPackage:
         # targets not yet folded in. Levels between wires are skipped.
         rows = target_unitary(gate).tolist()
         blocks = {(r, c): (v, TERMINAL) for r, row in enumerate(rows) for c, v in enumerate(row)}
-        for level in sorted(wires, reverse=True):
+        for level in sorted(gate.wires, reverse=True):
             b = bit.get(level)
             if b is not None:
                 blocks = {
@@ -284,7 +276,10 @@ class DDPackage:
         (wa, na), (wb, nb) = a, b
         if wa != 0 and wb != 0 and na is not TERMINAL and nb is not TERMINAL and na.level != nb.level:
             raise ValueError("operands must be rooted at the same level")
-        return self._add(wa, na, wb, nb)
+        try:
+            return self._add(wa, na, wb, nb)
+        finally:
+            self._add_cache.clear()  # the only memo a sum fills
 
     def _add(self, wa: complex, na: Node, wb: complex, nb: Node) -> Edge:
         if not wa:
@@ -326,7 +321,11 @@ class DDPackage:
             raise TypeError("state must be a vector DD")
         if not wo:
             return ZERO
-        return self._mul(wo, no, ws, ns)
+        try:
+            return self._mul(wo, no, ws, ns)
+        finally:
+            self._mul_cache.clear()
+            self._add_cache.clear()
 
     def _mul(self, wm: complex, mn: Node, wv: complex, vn: Node) -> Edge:
         # wm is nonzero: callers skip zero matrix slots
@@ -419,9 +418,6 @@ class DDPackage:
             reclaimed += len(table) - len(keep)
             self._unique[level] = keep
         self.node_count -= reclaimed
-        # compute tables key on node identity; drop them wholesale
-        self._mul_cache.clear()
-        self._add_cache.clear()
         self.gc_runs += 1
         return reclaimed
 

@@ -49,9 +49,7 @@ def simulate_dense(circuit: Circuit) -> DenseState:
             f"dense oracle refuses {n} qubits (limit {MAX_ORACLE_QUBITS}); "
             "the full statevector would not stay cheap enough to trust as a check"
         )
-    problems = validate(circuit)
-    if problems:
-        raise ValueError(f"invalid circuit: {problems[0]}")
+    validate(circuit)
     psi = np.zeros((2,) * n, dtype=np.complex128)
     psi[(0,) * n] = 1.0
     for gate in circuit.gates:

@@ -12,9 +12,10 @@ the text on `;` after dropping `//` comments, so a `;` inside an include
 name ends the statement and the include is refused. Angle expressions
 combine integers, decimals, pi, parentheses, unary sign, and + - * /;
 parentheses and unary signs may nest at most 64 deep (_MAX_ANGLE_DEPTH),
-while a flat chain such as 1+1+...+1 may be any length. Anything else is a
-hard error naming the line where the offending statement starts and the
-statement's text.
+while a flat chain such as 1+1+...+1 may be any length. Each gate a
+statement yields (one per qubit for a register broadcast) must pass
+circuit.check_gate. Anything else is a hard error naming the line where the
+offending statement starts and the statement's text.
 
 Emitted files print angles with 17 significant digits (bit-exact round
 trips) and, when the circuit carries a non-identity relabeling, end with the
@@ -34,7 +35,7 @@ import re
 from dataclasses import dataclass
 from math import pi as _PI
 
-from .circuit import ARITY, PARAMETERIZED_KINDS, Circuit, Gate, GateKind, QubitPermutation, validate
+from .circuit import ARITY, Circuit, Gate, GateKind, QubitPermutation, check_gate, validate
 
 
 class QasmError(Exception):
@@ -156,15 +157,11 @@ def _gate(stmt: str, name: str, qreg: tuple[str, int] | None) -> list[Gate]:
     rest = stmt[len(name):].lstrip()
     angle = None
     if rest.startswith("("):
-        if kind not in PARAMETERIZED_KINDS:
-            raise QasmError(f"{name} takes no angle")
         close = rest.rfind(")")  # arguments hold no ')', so this closes the angle
         if close < 0:
             raise QasmError("unclosed '(' in gate arguments")
         angle = _angle(rest[1:close])
         rest = rest[close + 1 :]
-    elif kind in PARAMETERIZED_KINDS:
-        raise QasmError(f"{name} requires an angle argument")
     if qreg is None:
         raise QasmError("gate statement before any qreg")
     if not rest.strip():
@@ -179,22 +176,21 @@ def _gate(stmt: str, name: str, qreg: tuple[str, int] | None) -> list[Gate]:
             raise QasmError(f"malformed argument {arg!r}" if arg else "stray or trailing ','")
         if m[1] != reg:
             raise QasmError(f"unknown register {m[1]!r}")
-        idx = None if m[2] is None else _int(m[2])
-        if idx is not None and idx >= size:
-            raise QasmError(f"qubit index {idx} out of range for {reg}[{size}]")
-        wires.append(idx)
+        wires.append(None if m[2] is None else _int(m[2]))
 
     nc, nt = ARITY[kind]
     if nc == 0 and nt == 1 and wires == [None]:
-        return [Gate(kind, angle=angle, targets=(q,)) for q in range(size)]
-    if None in wires:
+        gates = [Gate(kind, angle=angle, targets=(q,)) for q in range(size)]
+    elif None in wires:
         raise QasmError(f"register broadcast is only supported for single-qubit gates, not {name}")
-    if nc is None:
-        if len(wires) <= nt:
-            raise QasmError(f"{name} takes at least one control and one target")
-    elif len(wires) != nc + nt:
-        raise QasmError(f"{name} takes exactly {'one qubit' if nc + nt == 1 else 'two qubits'}")
-    return [Gate(kind, angle=angle, controls=tuple(wires[:-nt]), targets=tuple(wires[-nt:]))]
+    else:
+        gates = [Gate(kind, angle=angle, controls=tuple(wires[:-nt]), targets=tuple(wires[-nt:]))]
+    for g in gates:
+        try:
+            check_gate(g, size)
+        except ValueError as exc:
+            raise QasmError(str(exc)) from None
+    return gates
 
 
 def parse(text: str) -> ParsedProgram:
@@ -272,11 +268,7 @@ def parse(text: str) -> ParsedProgram:
     size = qreg[1]
     if perm is not None and len(perm) != size:
         raise QasmError(f"output_permutation has {len(perm)} entries for a {size}-qubit register")
-    circuit = Circuit(size, tuple(gates), perm)
-    problems = validate(circuit)
-    if problems:
-        raise QasmError(f"parsed circuit fails validation: {problems[0]}")
-    return ParsedProgram(circuit, tuple(ignored))
+    return ParsedProgram(Circuit(size, tuple(gates), perm), tuple(ignored))
 
 
 def _format_gate(gate: Gate) -> str:
@@ -289,9 +281,7 @@ def _format_gate(gate: Gate) -> str:
 
 def emit(circuit: Circuit) -> str:
     """Deterministic QASM text for the circuit; see the module docstring."""
-    problems = validate(circuit)
-    if problems:
-        raise ValueError(f"refusing to emit an invalid circuit: {problems[0]}")
+    validate(circuit)
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
     lines += [_format_gate(g) for g in circuit.gates]
     perm = circuit.output_permutation

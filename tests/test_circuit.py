@@ -11,6 +11,7 @@ from qdd.circuit import (
     GateKind,
     MAX_UNITARY_WIRES,
     QubitPermutation,
+    check_gate,
     cp,
     cx,
     dagger,
@@ -52,7 +53,7 @@ def test_gates_are_hashable_and_frozen():
 
 def test_validate_accepts_good_circuit():
     c = Circuit(3, (h(0), cx(0, 1), cp(0.3, 1, 2), swap(0, 2)))
-    assert validate(c) == []
+    assert validate(c) is None
 
 
 @pytest.mark.parametrize(
@@ -70,22 +71,30 @@ def test_validate_accepts_good_circuit():
     ],
 )
 def test_validate_rejects(gates, fragment):
-    problems = validate(Circuit(3, gates))
-    assert problems, f"expected a violation mentioning {fragment!r}"
-    assert any(fragment in str(v) for v in problems)
+    with pytest.raises(ValueError, match=r"^invalid circuit: gate 0: ") as info:
+        validate(Circuit(3, gates))
+    assert fragment in str(info.value)
+    with pytest.raises(ValueError) as info:
+        check_gate(gates[0], 3)
+    assert fragment in str(info.value)
+
+
+def test_validate_names_the_first_bad_gate():
+    with pytest.raises(ValueError, match=r"^invalid circuit: gate 1: wire 3 out of range") as info:
+        validate(Circuit(3, (h(0), h(3), cx(1, 1))))
+    assert "duplicate" not in str(info.value)
 
 
 def test_validate_rejects_mcp_wider_than_dense_limit():
     k = MAX_UNITARY_WIRES + 1
-    problems = validate(Circuit(k, (mcp(0.1, range(k - 1), k - 1),)))
-    assert [v.gate_index for v in problems] == [0]
-    assert "mcp over 13 wires" in str(problems[0])
-    assert validate(Circuit(k - 1, (mcp(0.1, range(k - 2), k - 2),))) == []
+    with pytest.raises(ValueError, match="^invalid circuit: gate 0: mcp over 13 wires"):
+        validate(Circuit(k, (mcp(0.1, range(k - 1), k - 1),)))
+    assert validate(Circuit(k - 1, (mcp(0.1, range(k - 2), k - 2),))) is None
 
 
 def test_validate_rejects_nonpositive_register():
-    problems = validate(Circuit(0, ()))
-    assert problems and "num_qubits" in str(problems[0])
+    with pytest.raises(ValueError, match="^invalid circuit: num_qubits"):
+        validate(Circuit(0, ()))
 
 
 def test_permutation_rejects_non_bijections():

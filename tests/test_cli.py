@@ -101,6 +101,14 @@ def test_sim_parse_error_reports_line(tmp_path, capsys):
     assert code == EXIT_USAGE and "unknown gate" in err and "line 3" in err
 
 
+def test_sim_gate_error_names_the_statement_line(tmp_path, capsys):
+    # `h q;` expands to two gates, so the bad cx is gate 2 of the circuit but sits on line 4
+    f = tmp_path / "dup.qasm"
+    f.write_text("OPENQASM 2.0;\nqreg q[2];\nh q;\ncx q[1],q[1];\n")
+    code, _, err = run_cli(capsys, "sim", str(f))
+    assert code == EXIT_USAGE and err.startswith("sim: duplicate wire") and "at line 4" in err
+
+
 def test_sim_deeply_nested_angle_is_usage_error(tmp_path, capsys):
     f = tmp_path / "deep.qasm"
     f.write_text(f"OPENQASM 2.0;\nqreg q[1];\np({'(' * 400}1{')' * 400}) q[0];\n")

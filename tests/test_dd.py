@@ -21,6 +21,7 @@ from qdd.dd import (
     norm_squared,
     to_statevector,
 )
+from qdd.generators import entangled_qft
 from qdd.oracle import max_abs_diff, simulate_dense
 from qdd.reorder import ReorderMode, reorder
 from qdd.runner import run
@@ -234,10 +235,19 @@ def test_gate_on_wire_zero_passes_lower_subdiagrams_through(gate):
     for g in prep:
         state = pkg.apply(pkg.gate_dd(g), state)
     lowest = max(gate.wires)
-    pkg._mul_cache.clear()
+    factors = []  # the matrix node of every product _mul is asked for
+    mul = pkg._mul
+
+    def recording_mul(wm, mn, wv, vn):
+        factors.append(mn)
+        return mul(wm, mn, wv, vn)
+
+    pkg._mul = recording_mul  # the recursion calls self._mul, so every product is recorded
     out = pkg.apply(pkg.gate_dd(gate), state)
-    # below the lowest wire the gate is the identity (a terminal successor): no product is formed there
-    assert all(mn.level <= lowest for mn, _ in pkg._mul_cache)
+    # below the lowest wire the gate is the identity (a terminal successor,
+    # level -1): no product is formed there
+    assert factors
+    assert all(mn.level <= lowest for mn in factors)
     if gate.kind is not GateKind.H:  # H sums the branches below it; the others only move or scale them
         assert _levels_below(out, lowest) <= _levels_below(state, lowest)
     want = simulate_dense(Circuit(n, (*prep, gate)))
@@ -491,20 +501,72 @@ def test_full_compute_tables_clear_and_stay_correct(monkeypatch):
     limit = 8
     monkeypatch.setattr(dd, "COMPUTE_TABLE_LIMIT", limit)
     rng = random.Random(5)
-    cleared = False
-    for _ in range(5):
-        c = random_circuit(rng, max_qubits=4, max_depth=20)
+    # the memos live for one apply(); entangled_qft(5) is the circuit here
+    # whose single operations fill both past the limit
+    circuits = [random_circuit(rng, max_qubits=4, max_depth=20) for _ in range(5)] + [entangled_qft(5)]
+    cleared = set()
+    for c in circuits:
         n = c.num_qubits
         pkg = DDPackage(n)
+        sizes = []  # (multiply, add) memo entries at each recursive call of one apply()
+
+        def watching(f):
+            def wrapper(*args):
+                sizes.append((len(pkg._mul_cache), len(pkg._add_cache)))
+                return f(*args)
+            return wrapper
+
+        pkg._mul, pkg._add = watching(pkg._mul), watching(pkg._add)
         st = pkg.basis_state("0" * n)
         for g in c.gates:
-            before = len(pkg._mul_cache) + len(pkg._add_cache)
+            sizes.clear()
             st = pkg.apply(pkg.gate_dd(g), st)
-            assert len(pkg._mul_cache) <= limit and len(pkg._add_cache) <= limit
-            cleared = cleared or len(pkg._mul_cache) + len(pkg._add_cache) < before
+            assert max(max(held) for held in sizes) <= limit
+            # inside one apply() a memo shrinks only when an insert found it full
+            for name, i in (("multiply", 0), ("add", 1)):
+                if any(b[i] < a[i] for a, b in zip(sizes, sizes[1:])):
+                    cleared.add(name)
         assert pkg.gc_runs == 0
         assert max_abs_diff(simulate_dense(c), to_statevector(st, n)) < 1e-9
-    assert cleared, "no compute table ever filled up"
+    assert cleared == {"multiply", "add"}, f"only {cleared or 'no'} memo ever filled up"
+
+
+def test_memos_live_for_one_operation():
+    # apply() and add() empty both memos when they return or raise, so what
+    # one operation memoized never reaches the next, not even after a timeout
+    n = 6
+    circuits = [entangled_qft(n), Circuit(n, (x(n - 1), *entangled_qft(n).gates))]
+    pkg = DDPackage(n)
+    held = []  # memo entries alive at each deadline check
+    check = pkg._check_deadline
+
+    def recording_check():
+        held.append(len(pkg._mul_cache) + len(pkg._add_cache))
+        check()
+
+    pkg._check_deadline = recording_check
+    states = []
+    for c in circuits:
+        st = pkg.basis_state("0" * n)
+        for g in c.gates:
+            st = pkg.apply(pkg.gate_dd(g), st)
+            assert not pkg._mul_cache and not pkg._add_cache
+        states.append(st)
+    pkg.add(*states)
+    assert not pkg._mul_cache and not pkg._add_cache
+    operations = (lambda: pkg.apply(pkg.gate_dd(h(n - 1)), states[0]), lambda: pkg.add(*states))
+    for operation in operations:
+        pkg.deadline, pkg._tick = 0.0, -20  # the 20th tick checks the deadline, which has passed
+        with pytest.raises(SimulationTimeout):
+            operation()
+        assert held[-1] > 0, "the timeout came before any memo entry was made"
+        assert not pkg._mul_cache and not pkg._add_cache
+    pkg.deadline = None
+    applied, total = (operation() for operation in operations)
+    want = simulate_dense(Circuit(n, (*circuits[0].gates, h(n - 1))))
+    assert max_abs_diff(want, to_statevector(applied, n)) < 1e-12
+    want = sum(simulate_dense(c).amplitudes for c in circuits)
+    assert np.max(np.abs(to_statevector(total, n) - want)) < 1e-12
 
 
 # ---------------------------------------------------------------- norms, vectors
@@ -602,8 +664,6 @@ def test_maybe_collect_honors_threshold(monkeypatch):
 def test_deadline_aborts_long_apply():
     n = 14
     pkg = DDPackage(n)
-    from qdd.generators import entangled_qft
-
     c = entangled_qft(n)
     pkg.deadline = 0.001  # already in the past
     st = pkg.basis_state("0" * n)

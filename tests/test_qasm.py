@@ -124,7 +124,7 @@ def test_angle_division_by_zero_is_an_error():
         ("OPENQASM 2.0;\nqreg q[2];\nh r[0];\n", "unknown register"),
         ("OPENQASM 2.0;\nqreg q[0];\n", ">= 1"),
         ("OPENQASM 2.0;\nqreg q[70000];\n", "exceeds the limit of 65536 at line 2"),
-        ("OPENQASM 2.0;\nqreg q[2];\nswap q[0];\n", "exactly two"),
+        ("OPENQASM 2.0;\nqreg q[2];\nswap q[0];\n", "got 0/1 at line 3"),
         ("OPENQASM 2.0;\nqreg q[2];\nh q[0], ;\n", "trailing ','"),
         pytest.param(f"OPENQASM 2.0;\nqreg q[1];\np({'(' * 400}1{')' * 400}) q[0];\n", "nests deeper",
                      id="angle-400-parentheses-deep"),
@@ -141,6 +141,32 @@ def test_angle_division_by_zero_is_an_error():
 def test_parse_errors(text, fragment):
     with pytest.raises(QasmError, match=fragment):
         parse(text)
+
+
+_MCP_13 = "mcp(pi) " + ",".join(f"q[{i}]" for i in range(13))
+
+
+@pytest.mark.parametrize(
+    "text, fragment, line, stmt",
+    [
+        # the broadcast makes this gate 2 of the circuit; the error names its line, 4
+        pytest.param("OPENQASM 2.0;\nqreg q[2];\nh q;\ncx q[1],q[1];\n", "duplicate wire", 4, "cx q[1],q[1]",
+                     id="duplicate-wire-after-broadcast"),
+        pytest.param("OPENQASM 2.0;\nqreg q[1];\np(1e308*10) q[0];\n", "angle must be finite, got inf", 3,
+                     "p(1e308*10) q[0]", id="angle-overflows-to-inf"),
+        pytest.param(f"OPENQASM 2.0;\nqreg q[14];\n{_MCP_13};\n", "mcp over 13 wires", 3, _MCP_13,
+                     id="mcp-over-13-wires"),
+        pytest.param("OPENQASM 2.0;\nqreg q[2];\nswap q[0];\n", "swap needs 0 control(s) and 2 target(s)", 3,
+                     "swap q[0]", id="swap-on-one-wire"),
+    ],
+)
+def test_gate_errors_name_their_statement(text, fragment, line, stmt):
+    with pytest.raises(QasmError) as info:
+        parse(text)
+    assert fragment in str(info.value)
+    assert info.value.line == line
+    quoted = stmt if len(stmt) <= 60 else stmt[:57] + "..."
+    assert str(info.value).endswith(f" at line {line}: {quoted!r}")
 
 
 def test_error_carries_line_number():
