@@ -4,11 +4,12 @@ Bit-order convention used everywhere in this package: qubit 0 is the most
 significant bit of a basis index, the leftmost character of a bitstring, and
 the topmost decision-diagram level.
 
-A gate kind is defined once, by its wire counts (ARITY) and its target block
-(target_unitary): the unitary on its targets when every control is |1>, with
-the first target as the most significant bit. Every control's |0> branch is
-the identity. The decision-diagram engine builds a gate level by level from
-that block; gate_unitary embeds it in the dense matrix the oracle uses.
+A gate kind is defined once, by its GATE_TABLE row: wire counts, inverse
+kind and target block, the unitary on its targets when every control is |1>
+(first target as the most significant bit; a control's |0> branch is the
+identity). ARITY and PARAMETERIZED_KINDS are views of the table. The engine
+builds a gate DD level by level from the block; gate_unitary embeds it in
+the dense matrix the oracle uses.
 A valid gate is defined once too, by check_gate: validate applies it to
 every gate of a circuit, and the QASM reader and gate_dd call it per gate.
 """
@@ -17,8 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,25 +45,53 @@ class GateKind(Enum):
     SWAP = "swap"
 
 
-# kind -> (controls, targets); None controls means any number >= 1 (MCP)
-ARITY: dict[GateKind, tuple[int | None, int]] = {
-    GateKind.H: (0, 1),
-    GateKind.X: (0, 1),
-    GateKind.Y: (0, 1),
-    GateKind.Z: (0, 1),
-    GateKind.S: (0, 1),
-    GateKind.SDG: (0, 1),
-    GateKind.T: (0, 1),
-    GateKind.TDG: (0, 1),
-    GateKind.P: (0, 1),
-    GateKind.RZ: (0, 1),
-    GateKind.CX: (1, 1),
-    GateKind.CP: (1, 1),
-    GateKind.MCP: (None, 1),
-    GateKind.SWAP: (0, 2),
+Block = tuple[tuple[complex, ...], ...]
+
+
+class GateRow(NamedTuple):
+    """Everything the package knows about one gate kind."""
+
+    controls: int | None  # None: any number >= 1 (MCP)
+    targets: int
+    block: Block | Callable[[float], Block]  # a function of the angle iff the kind takes one
+    inverse: GateKind  # a kind whose block takes an angle inverts by negating it
+
+
+def _block(*rows) -> Block:
+    return tuple(tuple(complex(v) for v in row) for row in rows)
+
+
+_SQRT1_2 = 1.0 / math.sqrt(2.0)
+_C0 = complex(0.0, 0.0)
+_C1 = complex(1.0, 0.0)
+_X = _block((0, 1), (1, 0))
+
+
+def _phase(theta: float) -> Block:
+    return ((_C1, _C0), (_C0, cmath.exp(1j * theta)))
+
+
+# The one definition of each kind. Blocks are nested tuples of exact complex
+# values, so the shared block target_unitary returns cannot be mutated.
+GATE_TABLE: dict[GateKind, GateRow] = {
+    GateKind.H: GateRow(0, 1, _block((_SQRT1_2, _SQRT1_2), (_SQRT1_2, -_SQRT1_2)), GateKind.H),
+    GateKind.X: GateRow(0, 1, _X, GateKind.X),
+    GateKind.Y: GateRow(0, 1, _block((0, -1j), (1j, 0)), GateKind.Y),
+    GateKind.Z: GateRow(0, 1, _block((1, 0), (0, -1)), GateKind.Z),
+    GateKind.S: GateRow(0, 1, _block((1, 0), (0, 1j)), GateKind.SDG),
+    GateKind.SDG: GateRow(0, 1, _block((1, 0), (0, -1j)), GateKind.S),
+    GateKind.T: GateRow(0, 1, _block((1, 0), (0, cmath.exp(0.25j * math.pi))), GateKind.TDG),
+    GateKind.TDG: GateRow(0, 1, _block((1, 0), (0, cmath.exp(-0.25j * math.pi))), GateKind.T),
+    GateKind.P: GateRow(0, 1, _phase, GateKind.P),
+    GateKind.RZ: GateRow(0, 1, lambda a: ((cmath.exp(-0.5j * a), _C0), (_C0, cmath.exp(0.5j * a))), GateKind.RZ),
+    GateKind.CX: GateRow(1, 1, _X, GateKind.CX),
+    GateKind.CP: GateRow(1, 1, _phase, GateKind.CP),
+    GateKind.MCP: GateRow(None, 1, _phase, GateKind.MCP),
+    GateKind.SWAP: GateRow(0, 2, _block((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)), GateKind.SWAP),
 }
 
-PARAMETERIZED_KINDS = frozenset({GateKind.P, GateKind.RZ, GateKind.CP, GateKind.MCP})
+ARITY = {kind: (row.controls, row.targets) for kind, row in GATE_TABLE.items()}
+PARAMETERIZED_KINDS = frozenset(kind for kind, row in GATE_TABLE.items() if callable(row.block))
 
 # dense unitaries (the oracle's) are refused beyond this many wires (4^k entries)
 MAX_UNITARY_WIRES = 12
@@ -245,70 +276,31 @@ def validate(circuit: Circuit) -> None:
             raise ValueError(f"invalid circuit: gate {i}: {exc}") from None
 
 
-def relabel_gate(gate: Gate, perm: QubitPermutation) -> Gate:
-    """Move the gate onto the wires that currently hold its original qubits."""
-    m = perm.mapping
+def relabel_gate(gate: Gate, mapping: Sequence[int]) -> Gate:
+    """Move the gate onto mapping[q], the wire that now holds its original qubit q."""
     return Gate(
         gate.kind,
         angle=gate.angle,
-        controls=tuple(m[w] for w in gate.controls),
-        targets=tuple(m[w] for w in gate.targets),
+        controls=tuple(mapping[w] for w in gate.controls),
+        targets=tuple(mapping[w] for w in gate.targets),
     )
-
-
-_DAGGER_SWAPS = {
-    GateKind.S: GateKind.SDG,
-    GateKind.SDG: GateKind.S,
-    GateKind.T: GateKind.TDG,
-    GateKind.TDG: GateKind.T,
-}
 
 
 def dagger(gate: Gate) -> Gate:
     """Inverse of a single gate (same wires)."""
-    if gate.kind in _DAGGER_SWAPS:
-        return Gate(_DAGGER_SWAPS[gate.kind], controls=gate.controls, targets=gate.targets)
-    if gate.kind in PARAMETERIZED_KINDS:
-        return Gate(gate.kind, angle=-gate.angle, controls=gate.controls, targets=gate.targets)
-    # H, X, Y, Z, CX, SWAP are involutions
-    return gate
+    angle = None if gate.angle is None else -gate.angle
+    return Gate(GATE_TABLE[gate.kind].inverse, angle, gate.controls, gate.targets)
 
 
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-_FIXED_BLOCKS: dict[GateKind, np.ndarray] = {
-    GateKind.H: np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=np.complex128),
-    GateKind.X: _X,
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=np.complex128),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=np.complex128),
-    GateKind.T: np.array([[1, 0], [0, cmath.exp(0.25j * math.pi)]], dtype=np.complex128),
-    GateKind.TDG: np.array([[1, 0], [0, cmath.exp(-0.25j * math.pi)]], dtype=np.complex128),
-    GateKind.CX: _X,
-    GateKind.SWAP: np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128),
-}
-
-
-def target_unitary(gate: Gate) -> np.ndarray:
+def target_unitary(gate: Gate) -> Block:
     """The gate's target block: its unitary on the targets when every control is |1>.
 
-    The first target is the most significant bit. This block, with ARITY, is
-    the single definition of gate semantics: the decision-diagram engine and
-    gate_unitary both build from it.
+    The first target is the most significant bit. The block is read off
+    GATE_TABLE and shared, which its nested tuples make safe: the
+    decision-diagram engine and gate_unitary both build from it.
     """
-    kind = gate.kind
-    if kind in _FIXED_BLOCKS:
-        return _FIXED_BLOCKS[kind].copy()
-    if kind is GateKind.RZ:
-        return np.array(
-            [[cmath.exp(-0.5j * gate.angle), 0], [0, cmath.exp(0.5j * gate.angle)]],
-            dtype=np.complex128,
-        )
-    # P, CP and MCP
-    return np.array([[1, 0], [0, cmath.exp(1j * gate.angle)]], dtype=np.complex128)
+    block = GATE_TABLE[gate.kind].block
+    return block(gate.angle) if callable(block) else block
 
 
 def gate_unitary(gate: Gate) -> np.ndarray:

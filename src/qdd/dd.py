@@ -247,8 +247,7 @@ class DDPackage:
         # first only the identity, which the terminal stands for) with every
         # control above them at |1>; r, c hold the row/column bits of the
         # targets not yet folded in. Levels between wires are skipped.
-        rows = target_unitary(gate).tolist()
-        blocks = {(r, c): (v, TERMINAL) for r, row in enumerate(rows) for c, v in enumerate(row)}
+        blocks = {(r, c): (v, TERMINAL) for r, row in enumerate(target_unitary(gate)) for c, v in enumerate(row)}
         for level in sorted(gate.wires, reverse=True):
             b = bit.get(level)
             if b is not None:

@@ -7,6 +7,9 @@ holds what the original circuit keeps on wire q. Deleting SWAP(a, b) updates
 the tracking by exchanging the images of a and b; every surviving gate after
 the deletion point is rewritten onto the mapped wires.
 
+The pass runs once, tracks the mapping in one list and builds one
+QubitPermutation at the end; if it deletes nothing it returns its input.
+
 Modes:
   none      keep the circuit as is,
   trailing  delete only the maximal run of SWAPs at the very end,
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, Gate, GateKind, QubitPermutation, relabel_gate
+from .circuit import Circuit, GateKind, QubitPermutation, relabel_gate
 
 
 class ReorderMode(str, Enum):
@@ -59,29 +62,24 @@ def reorder(circuit: Circuit, mode: ReorderMode) -> tuple[Circuit, ReorderReport
     mode = ReorderMode(mode)
     n = circuit.num_qubits
     gates = circuit.gates
-    perm = QubitPermutation.identity(n)
-    if mode is ReorderMode.NONE:
-        return circuit, ReorderReport(0, perm, mode)
-
-    # SWAPs from index `first` on are deleted: all of them, or the trailing run
-    first = 0
+    # every SWAP from index `first` on is deleted: none, the trailing run, or all
+    first = len(gates)
     if mode is ReorderMode.TRAILING:
-        first = len(gates)
         while first > 0 and gates[first - 1].kind is GateKind.SWAP:
             first -= 1
+    elif mode is ReorderMode.ALL:
+        first = next((i for i, g in enumerate(gates) if g.kind is GateKind.SWAP), first)
 
     mapping = list(range(n))
-    removed = 0
-    out: list[Gate] = []
-    for i, g in enumerate(gates):
-        if i >= first and g.kind is GateKind.SWAP:
+    out = list(gates[:first])
+    for g in gates[first:]:
+        if g.kind is GateKind.SWAP:
             a, b = g.targets
             mapping[a], mapping[b] = mapping[b], mapping[a]
-            perm = QubitPermutation(tuple(mapping))
-            removed += 1
-        elif perm.is_identity:
-            out.append(g)
         else:
-            out.append(relabel_gate(g, perm))
-    total = circuit.output_permutation.then(perm)
-    return Circuit(n, tuple(out), total), ReorderReport(removed, perm, mode)
+            out.append(relabel_gate(g, mapping))
+    removed = len(gates) - len(out)
+    perm = QubitPermutation(tuple(mapping))
+    if removed:
+        circuit = Circuit(n, tuple(out), circuit.output_permutation.then(perm))
+    return circuit, ReorderReport(removed, perm, mode)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qdd.circuit import (
+    ARITY,
+    PARAMETERIZED_KINDS,
     Circuit,
     Gate,
     GateKind,
@@ -25,6 +27,7 @@ from qdd.circuit import (
     sdg,
     swap,
     t,
+    target_unitary,
     tdg,
     validate,
     x,
@@ -118,9 +121,9 @@ def test_permutation_compose_and_invert():
 
 def test_relabel_gate_moves_all_wires():
     perm = QubitPermutation((2, 0, 1))
-    g = relabel_gate(mcp(0.7, [0, 1], 2), perm)
+    g = relabel_gate(mcp(0.7, [0, 1], 2), perm.mapping)
     assert g.controls == (2, 0) and g.targets == (1,)
-    assert relabel_gate(h(0), perm).targets == (2,)
+    assert relabel_gate(h(0), perm.mapping).targets == (2,)
 
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS_1Q)
@@ -175,6 +178,18 @@ def test_dagger_swaps_s_t_pairs():
     assert dagger(t(0)).kind is GateKind.TDG
     assert dagger(tdg(0)).kind is GateKind.T
     assert dagger(p(0.4, 0)).angle == -0.4
+
+
+def test_target_blocks_are_immutable():
+    # every kind's block is shared, so a caller must not be able to change it
+    for kind in GateKind:
+        nc, nt = ARITY[kind]
+        angle = 0.3 if kind in PARAMETERIZED_KINDS else None
+        g = Gate(kind, angle, tuple(range(nt, nt + (nc or 1))), tuple(range(nt)))
+        block = target_unitary(g)
+        assert isinstance(block, tuple) and len(block) == 2**nt, kind
+        assert all(isinstance(row, tuple) and len(row) == 2**nt for row in block), kind
+        assert all(type(v) is complex for row in block for v in row), kind
 
 
 def test_gate_unitary_refuses_oversized_mcp():

@@ -1,5 +1,6 @@
 """Swap-elimination pass: semantics, permutations, bit remapping."""
 
+import importlib
 import random
 
 import pytest
@@ -30,6 +31,21 @@ def test_all_mode_relabels_downstream_gates():
     assert report.output_permutation.mapping == (1, 0)
 
 
+def test_reorder_builds_one_permutation(monkeypatch):
+    # the pass tracks wires in one list and builds its permutation once
+    built = []
+
+    class Counting(QubitPermutation):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(importlib.import_module("qdd.reorder"), "QubitPermutation", Counting)
+    _, report = reorder(qft(6), ReorderMode.ALL)
+    assert report.swaps_removed == 3
+    assert built == [report.output_permutation]
+
+
 def test_trailing_mode_only_touches_the_suffix():
     c = Circuit(3, (swap(0, 1), h(0), swap(0, 2), swap(1, 2)))
     out, report = reorder(c, ReorderMode.TRAILING)
@@ -51,7 +67,7 @@ def test_trailing_on_swap_free_circuit_is_identity():
     c = Circuit(2, (h(0), cx(0, 1)))
     for mode in ReorderMode:
         out, report = reorder(c, mode)
-        assert out.gates == c.gates
+        assert out is c  # a pass that deletes nothing returns its input
         assert report.swaps_removed == 0
         assert report.output_permutation.is_identity
 
