@@ -27,8 +27,9 @@ nonzero successor weight is exactly 1. Successor weights within EPS of zero
 the zero edge itself. Structurally identical nodes, with weights compared
 after rounding each component to EPS-wide buckets, are interned in a
 per-level unique table, so equality of subdiagrams is object identity.
-Vector nodes go through one arity-2 routine that builds the unique-table
-key directly; matrix nodes go through a general routine.
+Vector nodes go through one arity-2 routine and matrix nodes through one
+four-edge routine; each is straight-line code that builds the unique-table
+key directly, with the pivot in slot 0 unless the slots before it are zero.
 
 Matrix DDs have one producer, `gate_dd`, and one consumer, `apply`; `add`
 sums vector DDs only. `gate_dd` builds a gate bottom-up from its target
@@ -36,9 +37,11 @@ block (circuit.target_unitary), never from a dense 2^k x 2^k unitary. A
 target level folds that wire's row and column bit of the block. A control
 level makes each block `[d*I, 0; 0, e]`, where d is 1 when the block's
 remaining row and column bits agree and 0 otherwise: a control at |0>
-leaves the targets and every level below untouched. No other level is
-visited, so each wire costs at most 4^targets interning calls, whatever the
-number of controls and wherever the wires sit.
+leaves the targets and every level below untouched. A block that is zero
+there (an off-diagonal block of a diagonal target block) stays the zero
+edge and is not interned. No other level is visited, so each wire costs at
+most 4^targets interning calls, whatever the number of controls and
+wherever the wires sit.
 
 The multiply and add recursions take each operand's weight and node as
 separate arguments and return one `(weight, node)` edge, so no edge tuple
@@ -164,46 +167,61 @@ class DDPackage:
             self.node_count += 1
         return (pivot, node)
 
-    def _norm_intern(self, level: int, edges: list[Edge]) -> Edge:
-        """Normalize successor weights, snap near-zeros, intern a matrix node (or reduce [e, 0; 0, e] to e)."""
-        pidx = -1
-        pivot = _C0
-        for i, e in enumerate(edges):
-            w = e[0]
-            if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
-                edges[i] = ZERO
-            else:
-                pidx = i
-                pivot = w
-                break
-        if pidx < 0:
-            return ZERO
-        edges[pidx] = (_C1, edges[pidx][1])
-        for i in range(pidx + 1, len(edges)):
-            e = edges[i]
-            w = e[0]
-            if w.real == 0.0 and w.imag == 0.0:
-                edges[i] = ZERO
-                continue
-            w = w / pivot
-            if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
-                edges[i] = ZERO
-            else:
-                edges[i] = (w, e[1])
-        key_parts = []
-        for e in edges:
-            w = e[0]
-            key_parts.append(round(w.real * _INV_EPS))
-            key_parts.append(round(w.imag * _INV_EPS))
-            key_parts.append(id(e[1]))
-        key = tuple(key_parts)
-        if edges[1] is ZERO and edges[2] is ZERO and key[9:] == key[:3]:
-            return (pivot, edges[0][1])  # [e, 0; 0, e] is e: the identity on this level is skipped
+    def _norm_intern(self, level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
+        """Normalize and intern the matrix node [e0, e1; e2, e3], or reduce [e, 0; 0, e] to e.
+
+        The pivot is slot 0 unless its weight is within EPS of zero, as in an
+        X-like block. Then the zero leading slots are shifted out, the rest is
+        normalized as if the pivot sat in slot 0, and the leading slots are put
+        back as canonical zeros, in the node's edges and in its key alike.
+        """
+        w0, n0 = e0
+        w1, n1 = e1
+        w2, n2 = e2
+        w3, n3 = e3
+        lead = 0
+        while -EPS <= w0.real <= EPS and -EPS <= w0.imag <= EPS:
+            if lead == 3:
+                return ZERO
+            w0, n0, w1, n1, w2, n2, w3, n3 = w1, n1, w2, n2, w3, n3, _C0, TERMINAL
+            lead += 1
+        pivot = w0
+        if w1:
+            w1 = w1 / pivot
+            if -EPS <= w1.real <= EPS and -EPS <= w1.imag <= EPS:
+                w1 = _C0
+        if w1:
+            r1, i1 = round(w1.real * _INV_EPS), round(w1.imag * _INV_EPS)
+        else:
+            w1, n1, r1, i1 = _C0, TERMINAL, 0, 0
+        if w2:
+            w2 = w2 / pivot
+            if -EPS <= w2.real <= EPS and -EPS <= w2.imag <= EPS:
+                w2 = _C0
+        if w2:
+            r2, i2 = round(w2.real * _INV_EPS), round(w2.imag * _INV_EPS)
+        else:
+            w2, n2, r2, i2 = _C0, TERMINAL, 0, 0
+        if w3:
+            w3 = w3 / pivot
+            if -EPS <= w3.real <= EPS and -EPS <= w3.imag <= EPS:
+                w3 = _C0
+        if w3:
+            r3, i3 = round(w3.real * _INV_EPS), round(w3.imag * _INV_EPS)
+        else:
+            w3, n3, r3, i3 = _C0, TERMINAL, 0, 0
+        if not (lead or w1 or w2) and n3 is n0 and r3 == _KEY_ONE and not i3:
+            return (pivot, n0)  # [e, 0; 0, e] is e: the identity on this level is skipped
+        key = (_KEY_ONE, 0, id(n0), r1, i1, id(n1), r2, i2, id(n2), r3, i3, id(n3))
+        if lead:
+            key = (0, 0, _ID_TERMINAL) * lead + key[: 12 - 3 * lead]
         table = self._unique[level]
         node = table.get(key)
         if node is None:
-            node = Node(level, (*edges[0], *edges[1], *edges[2], *edges[3]))
-            table[key] = node
+            edges = (_C1, n0, w1, n1, w2, n2, w3, n3)
+            if lead:
+                edges = (_C0, TERMINAL) * lead + edges[: 8 - 2 * lead]
+            node = table[key] = Node(level, edges)
             self.node_count += 1
         return (pivot, node)
 
@@ -228,8 +246,7 @@ class DDPackage:
     def basis_state(self, bits: str) -> Edge:
         """DD of the computational basis state |bits>; exactly n nodes."""
         n = self.num_qubits
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise ValueError(f"need a {n}-char bitstring of 0/1, got {bits!r}")
+        check_bits(bits, n)
         w, node = ONE
         for level in range(n - 1, -1, -1):
             if bits[level] == "0":
@@ -241,30 +258,40 @@ class DDPackage:
     def gate_dd(self, gate: Gate) -> Edge:
         """Matrix DD of the gate embedded in the full register (identity elsewhere)."""
         check_gate(gate, self.num_qubits)
-        # targets[0] is the most significant bit of the target block's index
-        bit = {w: 1 << (len(gate.targets) - 1 - i) for i, w in enumerate(gate.targets)}
-        # blocks[r, c] spans every level below the wires not yet walked (at
-        # first only the identity, which the terminal stands for) with every
-        # control above them at |1>; r, c hold the row/column bits of the
-        # targets not yet folded in. Levels between wires are skipped.
-        blocks = {(r, c): (v, TERMINAL) for r, row in enumerate(target_unitary(gate)) for c, v in enumerate(row)}
+        targets = gate.targets
+        block = target_unitary(gate)
+        dim = len(block)
+        # blocks[r * dim + c] spans every level below the wires not yet walked
+        # (at first only the identity, which the terminal stands for) with
+        # every control above them at |1>. r and c run over `live`, the block
+        # indices whose bits of the targets already folded in are 0. Levels
+        # between wires are skipped.
+        blocks = [(v, TERMINAL) for row in block for v in row]
+        live = range(dim)
+        intern = self._norm_intern
         for level in sorted(gate.wires, reverse=True):
-            b = bit.get(level)
-            if b is not None:
-                blocks = {
-                    (r, c): self._norm_intern(
-                        level, [e, blocks[r, c | b], blocks[r | b, c], blocks[r | b, c | b]]
-                    )
-                    for (r, c), e in blocks.items()
-                    if not (r | c) & b
-                }
+            if level in targets:
+                # fold this target's row and column bit (targets[0] is the
+                # block index's most significant bit); blocks with it set are
+                # read, not kept
+                b = 1 << (len(targets) - 1 - targets.index(level))
+                bd = b * dim
+                live = [r for r in live if not r & b]
+                for r in live:
+                    for c in live:
+                        i = r * dim + c
+                        blocks[i] = intern(level, blocks[i], blocks[i + b], blocks[i + bd], blocks[i + bd + b])
             else:
-                # a control at |0> leaves the targets and every level below untouched
-                blocks = {
-                    (r, c): self._norm_intern(level, [ONE if r == c else ZERO, ZERO, ZERO, e])
-                    for (r, c), e in blocks.items()
-                }
-        return blocks[0, 0]
+                # a control at |0> leaves the targets and every level below
+                # untouched; a zero off-diagonal block stays zero, uninterned
+                for r in live:
+                    for c in live:
+                        i = r * dim + c
+                        if r == c:
+                            blocks[i] = intern(level, ONE, ZERO, ZERO, blocks[i])
+                        elif blocks[i][0]:
+                            blocks[i] = intern(level, ZERO, ZERO, ZERO, blocks[i])
+        return blocks[0]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -376,8 +403,7 @@ class DDPackage:
 
     def amplitude(self, edge: Edge, bits: str) -> complex:
         """Amplitude of |bits>: the weight product along the selected path."""
-        if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
-            raise ValueError(f"need a {self.num_qubits}-char bitstring of 0/1, got {bits!r}")
+        check_bits(bits, self.num_qubits)
         return amplitude(edge, bits)
 
     # -- memory management --------------------------------------------------
@@ -428,6 +454,12 @@ class DDPackage:
 
 
 # -- package-independent helpers --------------------------------------------
+
+
+def check_bits(bits: str, num_qubits: int) -> None:
+    """Raise ValueError unless bits is a basis state of num_qubits qubits."""
+    if len(bits) != num_qubits or set(bits) - {"0", "1"}:
+        raise ValueError(f"need a {num_qubits}-char bitstring of 0/1, got {bits!r}")
 
 
 def amplitude(edge: Edge, bits: str) -> complex:
@@ -496,8 +528,11 @@ def to_statevector(edge: Edge, num_qubits: int, positions: Sequence[int] | None 
 
 def norm_squared(edge: Edge) -> float:
     """Sum of |amplitude|^2 over all basis states, by an iterative memoized post-order walk."""
+    w, root = edge
+    if root is TERMINAL:  # the walk below would pop it as a node and overwrite its 1.0
+        return w.real * w.real + w.imag * w.imag
     sums: dict[int, float] = {id(TERMINAL): 1.0}
-    stack = [edge[1]]
+    stack = [root]
     while stack:
         node = stack[-1]
         e = node.edges
@@ -512,5 +547,4 @@ def norm_squared(edge: Edge) -> float:
             if mag:
                 total += mag * sums[id(child)]
         sums[id(node)] = total
-    w = edge[0]
-    return (w.real * w.real + w.imag * w.imag) * sums[id(edge[1])]
+    return (w.real * w.real + w.imag * w.imag) * sums[id(root)]

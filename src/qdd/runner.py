@@ -65,9 +65,8 @@ class RunResult:
 
     def amplitude(self, bits: str) -> complex:
         """Amplitude of the original-labels basis state `bits`."""
-        return self.package.amplitude(
-            self.final_state, permute_bits(self.output_permutation, bits)
-        )
+        dd.check_bits(bits, self.num_qubits)  # before relabeling, so an error names the caller's bits
+        return dd.amplitude(self.final_state, permute_bits(self.output_permutation, bits))
 
     def statevector(self) -> np.ndarray:
         """Dense amplitudes indexed by original labels (qubit 0 is the MSB)."""

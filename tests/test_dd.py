@@ -73,7 +73,7 @@ def test_first_nonzero_successor_gets_weight_exactly_one(pkg3):
 def test_all_zero_children_collapse_to_zero_edge(pkg3):
     e = pkg3.make_vector_node(2, ZERO, ZERO)
     assert e == ZERO
-    m = pkg3._norm_intern(2, [ZERO, ZERO, ZERO, ZERO])
+    m = pkg3._norm_intern(2, ZERO, ZERO, ZERO, ZERO)
     assert m == ZERO
 
 
@@ -125,16 +125,99 @@ def test_wrap_matches_general_interning(w, below):
     pkg = DDPackage(3)
     child, level = TERMINAL, 2
     if below:
-        child, level = pkg._norm_intern(2, [dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL)])[1], 1
+        child, level = pkg._norm_intern(2, dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL))[1], 1
     before = pkg.node_count
-    got = pkg._norm_intern(level, [(w, child), ZERO, ZERO, (w, child)])
+    got = pkg._norm_intern(level, (w, child), ZERO, ZERO, (w, child))
     assert pkg.node_count == before
     if -dd.EPS <= w.real <= dd.EPS and -dd.EPS <= w.imag <= dd.EPS:
         assert got == ZERO
     else:
         assert got[1] is child and _bucket(got[0]) == _bucket(w)
         # a sign flip in slot 3 is a Z on this level, not the identity
-        assert pkg._norm_intern(level, [(w, child), ZERO, ZERO, (-w, child)])[1].level == level
+        assert pkg._norm_intern(level, (w, child), ZERO, ZERO, (-w, child))[1].level == level
+
+
+def _norm_intern_reference(pkg: DDPackage, level: int, edges: list[Edge]) -> Edge:
+    # the list-taking matrix interning that the four-edge routine replaced, kept
+    # line for line as the reference for its weights, nodes and keys
+    pidx = -1
+    pivot = 0j
+    for i, e in enumerate(edges):
+        w = e[0]
+        if -dd.EPS <= w.real <= dd.EPS and -dd.EPS <= w.imag <= dd.EPS:
+            edges[i] = ZERO
+        else:
+            pidx = i
+            pivot = w
+            break
+    if pidx < 0:
+        return ZERO
+    edges[pidx] = (complex(1.0, 0.0), edges[pidx][1])
+    for i in range(pidx + 1, len(edges)):
+        e = edges[i]
+        w = e[0]
+        if w.real == 0.0 and w.imag == 0.0:
+            edges[i] = ZERO
+            continue
+        w = w / pivot
+        if -dd.EPS <= w.real <= dd.EPS and -dd.EPS <= w.imag <= dd.EPS:
+            edges[i] = ZERO
+        else:
+            edges[i] = (w, e[1])
+    key_parts = []
+    for e in edges:
+        w = e[0]
+        key_parts.append(round(w.real * dd._INV_EPS))
+        key_parts.append(round(w.imag * dd._INV_EPS))
+        key_parts.append(id(e[1]))
+    key = tuple(key_parts)
+    if edges[1] is ZERO and edges[2] is ZERO and key[9:] == key[:3]:
+        return (pivot, edges[0][1])
+    table = pkg._unique[level]
+    node = table.get(key)
+    if node is None:
+        node = dd.Node(level, (*edges[0], *edges[1], *edges[2], *edges[3]))
+        table[key] = node
+        pkg.node_count += 1
+    return (pivot, node)
+
+
+def _describe(edge: Edge) -> tuple:
+    # bit-exact: repr round-trips every float; child nodes are shared, so their reprs match
+    w, node = edge
+    return repr(w), node.level, repr(node.edges)
+
+
+@pytest.mark.parametrize("pivot", range(4))
+@pytest.mark.parametrize("below", [False, True], ids=["terminal", "node"])
+def test_norm_intern_matches_list_reference(pivot, below):
+    # every weight at the pivot slot, slots before it within EPS of zero, slots after
+    # it drawn from the same weights; each package starts fresh, and the children
+    # are shared nodes one level down, so the two results can be compared by repr
+    zeros = [w for w in WRAP_WEIGHTS if -dd.EPS <= w.real <= dd.EPS and -dd.EPS <= w.imag <= dd.EPS]
+    assert 0j in zeros and len(zeros) > 4
+    rng = random.Random(f"norm-intern:{pivot}:{below}")
+    children = [TERMINAL]
+    if below:
+        src = DDPackage(3)
+        children = [
+            src._norm_intern(2, dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL))[1],
+            src._norm_intern(2, ZERO, dd.ONE, dd.ONE, ZERO)[1],
+        ]
+    level = 1 if below else 2
+    for w in WRAP_WEIGHTS:
+        for _ in range(3):
+            weights = [rng.choice(zeros) for _ in range(pivot)] + [w]
+            weights += [rng.choice(WRAP_WEIGHTS) for _ in range(3 - pivot)]
+            edges = [(v, rng.choice(children)) for v in weights]
+            new, ref = DDPackage(3), DDPackage(3)
+            got = new._norm_intern(level, *edges)
+            want = _norm_intern_reference(ref, level, list(edges))
+            assert _describe(got) == _describe(want), edges
+            assert new.node_count == ref.node_count, edges
+            # the same key: the reference finds the node the routine made
+            again = _norm_intern_reference(new, level, list(edges))
+            assert again[1] is got[1] and new.node_count == ref.node_count, edges
 
 
 def _reachable(edge: Edge) -> list:
@@ -377,6 +460,27 @@ def test_wide_mcp_gate_dd_is_linear():
         assert pkg.amplitude(pkg.apply(op, pkg.basis_state("1" * k)), "1" * k) == pytest.approx(cmath.exp(0.7j))
 
 
+@pytest.mark.parametrize(
+    "gate, calls, nodes",
+    [(cp(0.7, 2, 0), 3, 2), (mcp(0.7, (0, 2), 1), 4, 3)],
+    ids=["cp-control-below", "mcp-controls-around"],
+)
+def test_control_level_skips_zero_blocks(gate, calls, nodes):
+    # a zero off-diagonal block at a control level stays zero without an interning call
+    pkg = DDPackage(3)
+    seen = 0
+    inner = pkg._norm_intern
+
+    def counted(*args):
+        nonlocal seen
+        seen += 1
+        return inner(*args)
+
+    pkg._norm_intern = counted
+    pkg.gate_dd(gate)
+    assert (seen, pkg.node_count) == (calls, nodes)
+
+
 def test_gate_inverse_roundtrip_returns_same_state():
     kinds = [h(0), x(1), cp(0.9, 0, 2), swap(1, 2), mcp(0.31, [1], 0), p(-2.2, 1)]
     pkg = DDPackage(3)
@@ -584,6 +688,12 @@ def test_norm_squared_matches_statevector():
         vec = to_statevector(st, n)
         assert norm_squared(st) == pytest.approx(float(np.vdot(vec, vec).real), abs=1e-10)
         assert norm_squared(st) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_norm_squared_of_a_terminal_edge():
+    assert norm_squared(dd.ONE) == 1.0
+    assert norm_squared((3 - 4j, TERMINAL)) == 25.0
+    assert norm_squared(ZERO) == 0.0
 
 
 def test_ghz_node_count_regression():

@@ -40,6 +40,16 @@ def test_amplitude_queries_use_original_labels():
         assert result.amplitude("00") == 0
 
 
+def test_amplitude_error_names_the_bits_passed():
+    # ALL relabels the query through the deleted SWAP; the message must not
+    # show the relabeled string
+    result = run(Circuit(2, (h(0), swap(0, 1))), ReorderMode.ALL)
+    with pytest.raises(ValueError, match="got '0a'"):
+        result.amplitude("0a")
+    with pytest.raises(ValueError, match="got '010'"):
+        result.amplitude("010")
+
+
 def test_statevector_matches_oracle_for_every_mode():
     rng = random.Random(4)
     for _ in range(15):
