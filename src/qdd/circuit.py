@@ -7,11 +7,11 @@ the topmost decision-diagram level.
 A gate kind is defined once, by its GATE_TABLE row: wire counts, inverse
 kind and target block, the unitary on its targets when every control is |1>
 (first target as the most significant bit; a control's |0> branch is the
-identity). ARITY and PARAMETERIZED_KINDS are views of the table. The engine
-builds a gate DD level by level from the block; gate_unitary embeds it in
-the dense matrix the oracle uses.
-A valid gate is defined once too, by check_gate: validate applies it to
-every gate of a circuit, and the QASM reader and gate_dd call it per gate.
+identity). The engine builds a gate DD level by level from the block;
+gate_unitary embeds it in the dense matrix the oracle uses.
+A Gate is a plain record that keeps the values it is given. A valid gate is
+defined once, by check_gate: validate applies it to every gate of a circuit,
+and the QASM reader and gate_dd call it per gate.
 """
 
 from __future__ import annotations
@@ -90,27 +90,17 @@ GATE_TABLE: dict[GateKind, GateRow] = {
     GateKind.SWAP: GateRow(0, 2, _block((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)), GateKind.SWAP),
 }
 
-ARITY = {kind: (row.controls, row.targets) for kind, row in GATE_TABLE.items()}
-PARAMETERIZED_KINDS = frozenset(kind for kind, row in GATE_TABLE.items() if callable(row.block))
-
 # dense unitaries (the oracle's) are refused beyond this many wires (4^k entries)
 MAX_UNITARY_WIRES = 12
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate application: kind, optional angle, control and target wires."""
 
     kind: GateKind
     angle: float | None = None
     controls: tuple[int, ...] = ()
     targets: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", tuple(int(w) for w in self.controls))
-        object.__setattr__(self, "targets", tuple(int(w) for w in self.targets))
-        if self.angle is not None:
-            object.__setattr__(self, "angle", float(self.angle))
 
     @property
     def wires(self) -> tuple[int, ...]:
@@ -180,9 +170,9 @@ class QubitPermutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
+        object.__setattr__(self, "mapping", tuple(self.mapping))
         n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
+        if not all(isinstance(v, int) for v in self.mapping) or sorted(self.mapping) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.mapping}")
 
     @classmethod
@@ -236,31 +226,33 @@ def check_gate(gate: Gate, num_qubits: int) -> None:
 
     The one definition of a valid gate: the kind's wire counts, an MCP over
     at most MAX_UNITARY_WIRES wires (the oracle must accept every valid
-    circuit), distinct in-range wires, and a finite angle exactly when the
-    kind takes one.
+    circuit), distinct in-range int wires, and a finite int or float angle
+    exactly when the kind takes one.
     """
-    kind = gate.kind
-    wires = gate.wires
-    nc, nt = ARITY[kind]
+    kind, angle, controls, targets = gate
+    nc, nt, block, _ = GATE_TABLE[kind]
+    wires = controls + targets
     if nc is None:
-        if not gate.controls or len(gate.targets) != nt:
-            raise ValueError(f"mcp needs >=1 control and 1 target, got {gate.controls}/{gate.targets}")
+        if not controls or len(targets) != nt:
+            raise ValueError(f"mcp needs >=1 control and 1 target, got {controls}/{targets}")
         if len(wires) > MAX_UNITARY_WIRES:
             raise ValueError(f"mcp over {len(wires)} wires exceeds the {MAX_UNITARY_WIRES}-wire dense limit")
-    elif len(gate.controls) != nc or len(gate.targets) != nt:
+    elif len(controls) != nc or len(targets) != nt:
         raise ValueError(
-            f"{kind.value} needs {nc} control(s) and {nt} target(s), got {len(gate.controls)}/{len(gate.targets)}")
+            f"{kind.value} needs {nc} control(s) and {nt} target(s), got {len(controls)}/{len(targets)}")
     if len(set(wires)) != len(wires):
         raise ValueError(f"duplicate wire in {kind.value}: {wires}")
     for w in wires:
+        if not isinstance(w, int):
+            raise ValueError(f"wire {w!r} of {kind.value} is not an int")
         if not 0 <= w < num_qubits:
             raise ValueError(f"wire {w} out of range for {num_qubits} qubits")
-    if kind in PARAMETERIZED_KINDS:
-        if gate.angle is None:
-            raise ValueError(f"{kind.value} requires an angle")
-        if not math.isfinite(gate.angle):
-            raise ValueError(f"{kind.value} angle must be finite, got {gate.angle}")
-    elif gate.angle is not None:
+    if callable(block):
+        if not isinstance(angle, (int, float)):
+            raise ValueError(f"{kind.value} requires an angle (an int or float), got {angle!r}")
+        if not math.isfinite(angle):
+            raise ValueError(f"{kind.value} angle must be finite, got {angle}")
+    elif angle is not None:
         raise ValueError(f"{kind.value} takes no angle")
 
 
@@ -278,12 +270,8 @@ def validate(circuit: Circuit) -> None:
 
 def relabel_gate(gate: Gate, mapping: Sequence[int]) -> Gate:
     """Move the gate onto mapping[q], the wire that now holds its original qubit q."""
-    return Gate(
-        gate.kind,
-        angle=gate.angle,
-        controls=tuple(mapping[w] for w in gate.controls),
-        targets=tuple(mapping[w] for w in gate.targets),
-    )
+    kind, angle, controls, targets = gate
+    return Gate(kind, angle, tuple(mapping[w] for w in controls), tuple(mapping[w] for w in targets))
 
 
 def dagger(gate: Gate) -> Gate:

@@ -93,6 +93,14 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _seconds(text: str) -> float:
+    """--timeout's type: a positive finite number of seconds."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a positive finite number of seconds, got {text!r}")
+    return value
+
+
 def _parse_modes(text: str) -> list[ReorderMode]:
     return [ReorderMode(part.strip()) for part in text.split(",")]
 
@@ -114,8 +122,10 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     program, name = _load(args.file)
     n = program.circuit.num_qubits
     for bits in args.query:
-        if len(bits) != n or any(c not in "01" for c in bits):
-            raise _UsageError(f"query {bits!r} is not a {n}-bit string")
+        try:
+            dd.check_bits(bits, n)
+        except ValueError as exc:
+            raise _UsageError(f"query: {exc}") from None
 
     try:
         result = run(program.circuit, ReorderMode(args.reorder), timeout_s=args.timeout)
@@ -218,7 +228,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--reorder", choices=[m.value for m in ReorderMode], default="none")
     sim.add_argument("--query", action="append", default=[], metavar="BITS",
                      help="basis state to report the amplitude of (repeatable)")
-    sim.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    sim.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS")
     sim.add_argument("--json", action="store_true")
     sim.set_defaults(func=_cmd_sim)
 
@@ -228,7 +238,7 @@ def _build_parser() -> _Parser:
                          help="size range A..B, or a comma list")
     bench_p.add_argument("--reorder", default="none,all", metavar="M[,M]",
                          help="comma list of modes (default none,all)")
-    bench_p.add_argument("--timeout", type=float, default=120.0, metavar="SECONDS")
+    bench_p.add_argument("--timeout", type=_seconds, default=120.0, metavar="SECONDS")
     bench_p.add_argument("--json", action="store_true")
     bench_p.set_defaults(func=_cmd_bench)
 

@@ -459,7 +459,7 @@ class DDPackage:
 def check_bits(bits: str, num_qubits: int) -> None:
     """Raise ValueError unless bits is a basis state of num_qubits qubits."""
     if len(bits) != num_qubits or set(bits) - {"0", "1"}:
-        raise ValueError(f"need a {num_qubits}-char bitstring of 0/1, got {bits!r}")
+        raise ValueError(f"need a {num_qubits}-bit string of 0/1, got {bits!r}")
 
 
 def amplitude(edge: Edge, bits: str) -> complex:

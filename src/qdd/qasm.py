@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from math import pi as _PI
 
-from .circuit import ARITY, Circuit, Gate, GateKind, QubitPermutation, check_gate, validate
+from .circuit import GATE_TABLE, Circuit, Gate, GateKind, QubitPermutation, check_gate, validate
 
 
 class QasmError(Exception):
@@ -178,7 +178,7 @@ def _gate(stmt: str, name: str, qreg: tuple[str, int] | None) -> list[Gate]:
             raise QasmError(f"unknown register {m[1]!r}")
         wires.append(None if m[2] is None else _int(m[2]))
 
-    nc, nt = ARITY[kind]
+    nc, nt, _, _ = GATE_TABLE[kind]
     if nc == 0 and nt == 1 and wires == [None]:
         gates = [Gate(kind, angle=angle, targets=(q,)) for q in range(size)]
     elif None in wires:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from qdd.circuit import (
-    ARITY,
-    PARAMETERIZED_KINDS,
+    GATE_TABLE,
     Circuit,
     Gate,
     GateKind,
@@ -71,6 +70,8 @@ def test_validate_accepts_good_circuit():
         ((Gate(GateKind.MCP, angle=0.1, controls=(), targets=(0,)),), ">=1 control"),
         ((Gate(GateKind.P, angle=float("nan"), targets=(0,)),), "finite"),
         ((cx(1, 1),), "duplicate wire"),
+        ((Gate(GateKind.H, targets=(1.5,)),), "not an int"),
+        ((Gate(GateKind.P, angle="0.5", targets=(0,)),), "int or float"),
     ],
 )
 def test_validate_rejects(gates, fragment):
@@ -105,6 +106,8 @@ def test_permutation_rejects_non_bijections():
         QubitPermutation((0, 0, 1))
     with pytest.raises(ValueError):
         QubitPermutation((0, 2))
+    with pytest.raises(ValueError):
+        QubitPermutation((0.0, 1.9))
 
 
 def test_permutation_compose_and_invert():
@@ -183,8 +186,8 @@ def test_dagger_swaps_s_t_pairs():
 def test_target_blocks_are_immutable():
     # every kind's block is shared, so a caller must not be able to change it
     for kind in GateKind:
-        nc, nt = ARITY[kind]
-        angle = 0.3 if kind in PARAMETERIZED_KINDS else None
+        nc, nt, row_block, _ = GATE_TABLE[kind]
+        angle = 0.3 if callable(row_block) else None
         g = Gate(kind, angle, tuple(range(nt, nt + (nc or 1))), tuple(range(nt)))
         block = target_unitary(g)
         assert isinstance(block, tuple) and len(block) == 2**nt, kind

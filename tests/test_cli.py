@@ -147,6 +147,19 @@ def test_sim_timeout_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "timeout"
 
 
+@pytest.mark.parametrize("command", ["sim", "bench"])
+@pytest.mark.parametrize("seconds", ["nan", "-1", "0", "inf"])
+def test_bad_timeout_is_usage_error(tmp_path, capsys, command, seconds):
+    # nan would never fire and -1 would report a timeout before any work
+    f = tmp_path / "ghz.qasm"
+    run_cli(capsys, "gen", "ghz", "--qubits", "2", "-o", str(f))
+    args = [str(f)] if command == "sim" else ["--family", "ghz", "--qubits", "2"]
+    with pytest.raises(SystemExit) as info:
+        main([command, *args, "--timeout", seconds])
+    assert info.value.code == EXIT_USAGE
+    assert "positive finite number of seconds" in capsys.readouterr().err
+
+
 def test_verify_accepts_good_file(tmp_path, capsys):
     f = tmp_path / "ghz6.qasm"
     run_cli(capsys, "gen", "ghz", "--qubits", "6", "-o", str(f))
