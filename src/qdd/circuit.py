@@ -226,11 +226,13 @@ def check_gate(gate: Gate, num_qubits: int) -> None:
 
     The one definition of a valid gate: the kind's wire counts, an MCP over
     at most MAX_UNITARY_WIRES wires (the oracle must accept every valid
-    circuit), distinct in-range int wires, and a finite int or float angle
-    exactly when the kind takes one.
+    circuit), tuples of distinct in-range int wires, and a finite int or
+    float angle exactly when the kind takes one.
     """
     kind, angle, controls, targets = gate
     nc, nt, block, _ = GATE_TABLE[kind]
+    if not (isinstance(controls, tuple) and isinstance(targets, tuple)):
+        raise ValueError(f"{kind.value} wires must be tuples, got controls={controls!r}, targets={targets!r}")
     wires = controls + targets
     if nc is None:
         if not controls or len(targets) != nt:
@@ -240,13 +242,13 @@ def check_gate(gate: Gate, num_qubits: int) -> None:
     elif len(controls) != nc or len(targets) != nt:
         raise ValueError(
             f"{kind.value} needs {nc} control(s) and {nt} target(s), got {len(controls)}/{len(targets)}")
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"duplicate wire in {kind.value}: {wires}")
     for w in wires:
         if not isinstance(w, int):
             raise ValueError(f"wire {w!r} of {kind.value} is not an int")
         if not 0 <= w < num_qubits:
             raise ValueError(f"wire {w} out of range for {num_qubits} qubits")
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"duplicate wire in {kind.value}: {wires}")
     if callable(block):
         if not isinstance(angle, (int, float)):
             raise ValueError(f"{kind.value} requires an angle (an int or float), got {angle!r}")

@@ -95,7 +95,10 @@ def _parse_sizes(text: str) -> list[int]:
 
 def _seconds(text: str) -> float:
     """--timeout's type: a positive finite number of seconds."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number at all: rejected below like nan
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"need a positive finite number of seconds, got {text!r}")
     return value

@@ -26,7 +26,12 @@ nonzero successor weight is exactly 1. Successor weights within EPS of zero
 (weight 0, terminal), and a node whose successors are all zero collapses to
 the zero edge itself. Structurally identical nodes, with weights compared
 after rounding each component to EPS-wide buckets, are interned in a
-per-level unique table, so equality of subdiagrams is object identity.
+per-level unique table, so equality of subdiagrams is object identity. A
+component x's bucket is x / EPS rounded half to even, as the builtin `round`
+rounds it. While |x / EPS| < 2^51 it is computed as `x/EPS + 1.5*2^52 -
+1.5*2^52`: IEEE addition rounds half to even too, and the integral float it
+leaves hashes and compares like the builtin's int. Past that, and for nan
+and inf, the builtin itself is called, so the keys and the errors are its.
 Vector nodes go through one arity-2 routine and matrix nodes through one
 four-edge routine; each is straight-line code that builds the unique-table
 key directly, with the pivot in slot 0 unless the slots before it are zero.
@@ -68,9 +73,10 @@ work the swap-elimination rewrite saves, so the `qpe` gap rests on this
 key. README "Benchmarking" gives the lookups, hits and times measured under
 both keys.
 
-Garbage collection is explicit: nodes carry a reference count used to pin
-roots, and a mark-and-sweep pass runs when the unique tables grow past
-GC_THRESHOLD nodes (or on request), dropping dead nodes.
+Garbage collection is explicit: inc_ref and dec_ref count a root's pins in
+a package table, nodes themselves carry no count, and a mark-and-sweep pass
+marks from the pinned roots and the roots it is passed when the unique
+tables grow past GC_THRESHOLD nodes (or on request), dropping dead nodes.
 """
 
 from __future__ import annotations
@@ -89,6 +95,17 @@ GC_THRESHOLD = 1 << 22
 _C0 = complex(0.0, 0.0)
 _C1 = complex(1.0, 0.0)
 _KEY_ONE = round(_C1.real * _INV_EPS)  # key of a pivot slot's real part
+# For |x| < _FAST, x + _ROUND - _ROUND is x rounded to an integral float: the
+# sum lands in (2^52, 2^53), where floats are the integers and addition rounds
+# half to even, as the builtin `round` does. An integral float hashes and
+# compares like the int, so a bucket found either way finds the same key.
+_FAST = 2.0**51
+_ROUND = 1.5 * 2.0**52
+
+
+def _round_buckets(x: float, y: float) -> tuple[int, int]:
+    """The buckets of x and y at or past _FAST; nan and inf raise as the builtin does."""
+    return round(x), round(y)
 
 
 class SimulationTimeout(RuntimeError):
@@ -98,12 +115,11 @@ class SimulationTimeout(RuntimeError):
 class Node:
     """Interned DD node; compare with `is`, never construct outside a package."""
 
-    __slots__ = ("level", "edges", "ref")
+    __slots__ = ("level", "edges")
 
     def __init__(self, level: int, edges: tuple) -> None:
         self.level = level
         self.edges = edges
-        self.ref = 0
 
     def __repr__(self) -> str:  # debugging aid only
         if self is TERMINAL:
@@ -117,6 +133,9 @@ TERMINAL = Node(-1, ())
 ZERO = (_C0, TERMINAL)
 ONE = (_C1, TERMINAL)
 _ID_TERMINAL = id(TERMINAL)
+# the interning routines fill a bare node's two slots themselves, which spares
+# the frame of a Python-level __init__ call per node
+_new_node = object.__new__
 
 
 def _is_vector_edge(e: Edge) -> bool:
@@ -137,6 +156,7 @@ class DDPackage:
         self._mul_cache: dict = {}
         self._add_cache: dict = {}
         self._tick = 0
+        self._pins: dict[Node, int] = {}  # pinned root -> number of inc_ref calls not yet undone
 
     # -- node construction -------------------------------------------------
 
@@ -156,14 +176,23 @@ class DDPackage:
                 if -EPS <= w1.real <= EPS and -EPS <= w1.imag <= EPS:
                     w1 = _C0
             if w1:
-                key = (_KEY_ONE, 0, id(n0), round(w1.real * _INV_EPS), round(w1.imag * _INV_EPS), id(n1))
+                x = w1.real * _INV_EPS
+                y = w1.imag * _INV_EPS
+                if -_FAST < x < _FAST and -_FAST < y < _FAST:
+                    x = x + _ROUND - _ROUND
+                    y = y + _ROUND - _ROUND
+                else:
+                    x, y = _round_buckets(x, y)
+                key = (_KEY_ONE, 0, id(n0), x, y, id(n1))
             else:
                 key = (_KEY_ONE, 0, id(n0), 0, 0, _ID_TERMINAL)
                 w1, n1 = _C0, TERMINAL
         table = self._unique[level]
         node = table.get(key)
         if node is None:
-            node = table[key] = Node(level, (w0, n0, w1, n1))
+            node = table[key] = _new_node(Node)
+            node.level = level
+            node.edges = (w0, n0, w1, n1)
             self.node_count += 1
         return (pivot, node)
 
@@ -191,7 +220,13 @@ class DDPackage:
             if -EPS <= w1.real <= EPS and -EPS <= w1.imag <= EPS:
                 w1 = _C0
         if w1:
-            r1, i1 = round(w1.real * _INV_EPS), round(w1.imag * _INV_EPS)
+            r1 = w1.real * _INV_EPS
+            i1 = w1.imag * _INV_EPS
+            if -_FAST < r1 < _FAST and -_FAST < i1 < _FAST:
+                r1 = r1 + _ROUND - _ROUND
+                i1 = i1 + _ROUND - _ROUND
+            else:
+                r1, i1 = _round_buckets(r1, i1)
         else:
             w1, n1, r1, i1 = _C0, TERMINAL, 0, 0
         if w2:
@@ -199,7 +234,13 @@ class DDPackage:
             if -EPS <= w2.real <= EPS and -EPS <= w2.imag <= EPS:
                 w2 = _C0
         if w2:
-            r2, i2 = round(w2.real * _INV_EPS), round(w2.imag * _INV_EPS)
+            r2 = w2.real * _INV_EPS
+            i2 = w2.imag * _INV_EPS
+            if -_FAST < r2 < _FAST and -_FAST < i2 < _FAST:
+                r2 = r2 + _ROUND - _ROUND
+                i2 = i2 + _ROUND - _ROUND
+            else:
+                r2, i2 = _round_buckets(r2, i2)
         else:
             w2, n2, r2, i2 = _C0, TERMINAL, 0, 0
         if w3:
@@ -207,7 +248,13 @@ class DDPackage:
             if -EPS <= w3.real <= EPS and -EPS <= w3.imag <= EPS:
                 w3 = _C0
         if w3:
-            r3, i3 = round(w3.real * _INV_EPS), round(w3.imag * _INV_EPS)
+            r3 = w3.real * _INV_EPS
+            i3 = w3.imag * _INV_EPS
+            if -_FAST < r3 < _FAST and -_FAST < i3 < _FAST:
+                r3 = r3 + _ROUND - _ROUND
+                i3 = i3 + _ROUND - _ROUND
+            else:
+                r3, i3 = _round_buckets(r3, i3)
         else:
             w3, n3, r3, i3 = _C0, TERMINAL, 0, 0
         if not (lead or w1 or w2) and n3 is n0 and r3 == _KEY_ONE and not i3:
@@ -221,7 +268,9 @@ class DDPackage:
             edges = (_C1, n0, w1, n1, w2, n2, w3, n3)
             if lead:
                 edges = (_C0, TERMINAL) * lead + edges[: 8 - 2 * lead]
-            node = table[key] = Node(level, edges)
+            node = table[key] = _new_node(Node)
+            node.level = level
+            node.edges = edges
             self.node_count += 1
         return (pivot, node)
 
@@ -410,36 +459,34 @@ class DDPackage:
 
     def inc_ref(self, edge: Edge) -> None:
         """Pin edge's root so collect_garbage treats it as live."""
-        if edge[1] is not TERMINAL:
-            edge[1].ref += 1
-
-    def dec_ref(self, edge: Edge) -> None:
         node = edge[1]
         if node is not TERMINAL:
-            if node.ref <= 0:
+            pins = self._pins
+            pins[node] = pins.get(node, 0) + 1
+
+    def dec_ref(self, edge: Edge) -> None:
+        """Undo one inc_ref of edge's root."""
+        node = edge[1]
+        if node is not TERMINAL:
+            count = self._pins.pop(node, 0) - 1
+            if count < 0:
                 raise ValueError("dec_ref below zero")
-            node.ref -= 1
+            if count:
+                self._pins[node] = count
 
     def collect_garbage(self, roots: tuple[Edge, ...] = ()) -> int:
-        """Mark from roots and ref-pinned nodes, sweep the rest; returns reclaimed count."""
-        marked: set[int] = set()
-        stack = [e[1] for e in roots if e[1] is not TERMINAL]
-        for table in self._unique:
-            for node in table.values():
-                if node.ref > 0:
-                    stack.append(node)
+        """Mark from roots and pinned nodes, sweep the rest; returns reclaimed count."""
+        marked = {TERMINAL}
+        stack = [e[1] for e in roots]
+        stack.extend(self._pins)
         while stack:
             node = stack.pop()
-            i = id(node)
-            if i in marked:
-                continue
-            marked.add(i)
-            for child in node.edges[1::2]:
-                if child is not TERMINAL:
-                    stack.append(child)
+            if node not in marked:
+                marked.add(node)
+                stack.extend(node.edges[1::2])
         reclaimed = 0
         for level, table in enumerate(self._unique):
-            keep = {k: nd for k, nd in table.items() if id(nd) in marked}
+            keep = {k: nd for k, nd in table.items() if nd in marked}
             reclaimed += len(table) - len(keep)
             self._unique[level] = keep
         self.node_count -= reclaimed
@@ -484,17 +531,15 @@ def amplitude(edge: Edge, bits: str) -> complex:
 
 def count_nodes(edge: Edge) -> int:
     """Number of distinct nonterminal nodes reachable from edge."""
-    if edge[1] is TERMINAL:
-        return 0
-    seen = {id(edge[1])}
-    stack = [edge[1]]
+    root = edge[1]
+    seen = {TERMINAL, root}
+    stack = [root]
     while stack:
-        node = stack.pop()
-        for child in node.edges[1::2]:
-            if child is not TERMINAL and id(child) not in seen:
-                seen.add(id(child))
+        for child in stack.pop().edges[1::2]:
+            if child not in seen:
+                seen.add(child)
                 stack.append(child)
-    return len(seen)
+    return len(seen) - 1
 
 
 def to_statevector(edge: Edge, num_qubits: int, positions: Sequence[int] | None = None):

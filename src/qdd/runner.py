@@ -16,10 +16,10 @@ exact for the between-gate states that dominate memory.
 
 Python's cyclic garbage collector is suspended, and the interpreter's
 recursion limit raised, for the simulation only. The package frees nodes
-itself (reference pins plus its own mark-and-sweep), and nodes form no
-reference cycles, so the collector's repeated full passes over the unique and
-compute tables would only add work that grows with the live heap, not with
-what the circuit asks for. The one young-generation pass over what the run
+itself (roots pinned in its own table, plus its own mark-and-sweep), and
+nodes form no reference cycles, so the collector's repeated full passes over
+the unique and compute tables would only add work that grows with the live
+heap, not with what the circuit asks for. The one young-generation pass over what the run
 made is timed as part of the run.
 """
 

@@ -72,6 +72,9 @@ def test_validate_accepts_good_circuit():
         ((cx(1, 1),), "duplicate wire"),
         ((Gate(GateKind.H, targets=(1.5,)),), "not an int"),
         ((Gate(GateKind.P, angle="0.5", targets=(0,)),), "int or float"),
+        ((Gate(GateKind.CX, controls=[0], targets=[1]),), "cx wires must be tuples"),
+        ((Gate(GateKind.H, targets=[0]),), "h wires must be tuples"),
+        ((Gate(GateKind.H, targets=([0],)),), "not an int"),
     ],
 )
 def test_validate_rejects(gates, fragment):

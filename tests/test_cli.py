@@ -148,7 +148,7 @@ def test_sim_timeout_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sim", "bench"])
-@pytest.mark.parametrize("seconds", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("seconds", ["nan", "-1", "0", "inf", "soon"])
 def test_bad_timeout_is_usage_error(tmp_path, capsys, command, seconds):
     # nan would never fire and -1 would report a timeout before any work
     f = tmp_path / "ghz.qasm"

@@ -220,6 +220,58 @@ def test_norm_intern_matches_list_reference(pivot, below):
             assert again[1] is got[1] and new.node_count == ref.node_count, edges
 
 
+def _scaled_to(t: float) -> float | None:
+    """A weight component v with v * (1/EPS) == t exactly, if one lies a few ulps from t * EPS."""
+    v = t * dd.EPS
+    for _ in range(16):
+        scaled = v * dd._INV_EPS
+        if scaled == t:
+            return v
+        v = math.nextafter(v, math.inf if scaled < t else -math.inf)
+    return None
+
+
+_TIES = [k + 0.5 for k in range(-1000, 1000)]
+# |x| >= 2^51 falls back to round(); 2^51 + 1 and -(2^51 + 1.5) are where the
+# fast rule alone would bucket differently
+_BOUNDARY = [s * (2.0**51 + d) for s in (1, -1) for d in (-1, -0.5, 0, 0.5, 1, 1.5, 2)]
+
+
+def test_unique_keys_bucket_like_round():
+    # every scaled component is bucketed as round() buckets it: ties go to
+    # even, and past 2^51 round() itself is called; an int key built with
+    # round() and a float key with the same values find the node interned
+    scaled = [(t, _scaled_to(t)) for t in _TIES + _BOUNDARY]
+    found = [(t, v) for t, v in scaled if v is not None]
+    assert len(found) > 1800 and all(v is not None for t, v in scaled if abs(t) > 2**50)
+    vec, mat = DDPackage(1), DDPackage(1)
+    t_id = id(TERMINAL)
+    for t, v in found:
+        w = complex(v, 1.0)  # the unit imaginary part keeps small ties off the zero snap
+        r, i = round(t), round(dd._INV_EPS)
+        _, node = vec._intern2(0, dd.ONE[0], TERMINAL, w, TERMINAL)
+        for key in [(dd._KEY_ONE, 0, t_id, r, i, t_id), (float(dd._KEY_ONE), 0.0, t_id, float(r), float(i), t_id)]:
+            assert vec._unique[0][key] is node, t
+        _, node = mat._norm_intern(0, dd.ONE, (w, TERMINAL), ZERO, dd.ONE)
+        key = (dd._KEY_ONE, 0, t_id, r, i, t_id, 0, 0, t_id, dd._KEY_ONE, 0, t_id)
+        assert mat._unique[0][key] is node, t
+    assert vec.node_count == mat.node_count == len({round(t) for t, _ in found})
+
+
+@pytest.mark.parametrize(
+    "w, error",
+    [(complex(math.nan, 1), ValueError), (complex(1, math.nan), ValueError), (complex(math.inf, 1), OverflowError)],
+    ids=["nan-real", "nan-imag", "inf-real"],
+)
+def test_non_finite_weights_raise_as_round_does(w, error):
+    pkg = DDPackage(1)
+    with pytest.raises(error):
+        pkg._intern2(0, dd.ONE[0], TERMINAL, w, TERMINAL)
+    with pytest.raises(error):
+        pkg._norm_intern(0, dd.ONE, (w, TERMINAL), ZERO, dd.ONE)
+    assert pkg.node_count == 0
+
+
 def _reachable(edge: Edge) -> list:
     seen, out = set(), []
     stack = [edge[1]]
@@ -755,6 +807,21 @@ def test_gc_then_new_constructions_still_canonical():
     pkg.collect_garbage()
     again = pkg.basis_state("000")
     assert again[1] is st[1]
+
+
+def test_pins_count_inc_ref_calls():
+    pkg = DDPackage(3)
+    st = pkg.basis_state("010")
+    pkg.inc_ref(st)
+    pkg.inc_ref(st)
+    pkg.dec_ref(st)
+    assert pkg.collect_garbage() == 0
+    assert pkg.amplitude(st, "010") == 1
+    pkg.dec_ref(st)
+    assert pkg.collect_garbage() == 3
+    assert pkg.node_count == 0
+    with pytest.raises(ValueError, match="dec_ref below zero"):
+        pkg.dec_ref(st)
 
 
 def test_maybe_collect_honors_threshold(monkeypatch):

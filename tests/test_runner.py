@@ -25,6 +25,12 @@ def test_empty_circuit_amplitude():
     assert result.stats.peak_nodes >= result.stats.final_nodes
 
 
+@pytest.mark.parametrize("mode", list(ReorderMode))
+def test_run_leaves_only_the_final_root_pinned(mode):
+    result = run(qft(5, True), mode)
+    assert result.package._pins == {result.final_state[1]: 1}
+
+
 def test_run_rejects_invalid_circuits():
     with pytest.raises(ValueError, match="invalid circuit"):
         run(Circuit(2, (h(7),)))
