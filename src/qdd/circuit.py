@@ -163,6 +163,11 @@ def swap(a: int, b: int) -> Gate:
     return Gate(GateKind.SWAP, targets=(a, b))
 
 
+def _is_wire(v: object) -> bool:
+    # a bool is an int, but QASM writes it as True/False, which no reader takes back
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class QubitPermutation:
     """Wire relabeling: mapping[q] is the wire that now holds original qubit q."""
@@ -172,7 +177,7 @@ class QubitPermutation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mapping", tuple(self.mapping))
         n = len(self.mapping)
-        if not all(isinstance(v, int) for v in self.mapping) or sorted(self.mapping) != list(range(n)):
+        if not all(_is_wire(v) for v in self.mapping) or sorted(self.mapping) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.mapping}")
 
     @classmethod
@@ -221,13 +226,19 @@ class Circuit:
             raise ValueError("output_permutation size does not match num_qubits")
 
 
+def check_bits(bits: str, num_qubits: int) -> None:
+    """Raise ValueError unless bits is a basis state of num_qubits qubits (qubit 0 first)."""
+    if len(bits) != num_qubits or set(bits) - {"0", "1"}:
+        raise ValueError(f"need a {num_qubits}-bit string of 0/1, got {bits!r}")
+
+
 def check_gate(gate: Gate, num_qubits: int) -> None:
     """Raise ValueError unless the gate is valid on num_qubits wires.
 
     The one definition of a valid gate: the kind's wire counts, an MCP over
     at most MAX_UNITARY_WIRES wires (the oracle must accept every valid
-    circuit), tuples of distinct in-range int wires, and a finite int or
-    float angle exactly when the kind takes one.
+    circuit), tuples of distinct in-range int (not bool) wires, and a finite
+    int or float angle exactly when the kind takes one.
     """
     kind, angle, controls, targets = gate
     nc, nt, block, _ = GATE_TABLE[kind]
@@ -243,7 +254,7 @@ def check_gate(gate: Gate, num_qubits: int) -> None:
         raise ValueError(
             f"{kind.value} needs {nc} control(s) and {nt} target(s), got {len(controls)}/{len(targets)}")
     for w in wires:
-        if not isinstance(w, int):
+        if not _is_wire(w):
             raise ValueError(f"wire {w!r} of {kind.value} is not an int")
         if not 0 <= w < num_qubits:
             raise ValueError(f"wire {w} out of range for {num_qubits} qubits")

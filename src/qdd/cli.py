@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dd, qasm
+from .circuit import check_bits
 from .generators import FAMILIES, build_family
 from .oracle import MAX_ORACLE_QUBITS, DenseState, max_abs_diff, simulate_dense
 from .reorder import ReorderMode
@@ -126,7 +127,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     n = program.circuit.num_qubits
     for bits in args.query:
         try:
-            dd.check_bits(bits, n)
+            check_bits(bits, n)
         except ValueError as exc:
             raise _UsageError(f"query: {exc}") from None
 

@@ -24,17 +24,21 @@ successor weight, which is pulled onto the incoming edge, so that first
 nonzero successor weight is exactly 1. Successor weights within EPS of zero
 (per real/imag component) are snapped to the canonical zero slot
 (weight 0, terminal), and a node whose successors are all zero collapses to
-the zero edge itself. Structurally identical nodes, with weights compared
-after rounding each component to EPS-wide buckets, are interned in a
-per-level unique table, so equality of subdiagrams is object identity. A
-component x's bucket is x / EPS rounded half to even, as the builtin `round`
-rounds it. While |x / EPS| < 2^51 it is computed as `x/EPS + 1.5*2^52 -
-1.5*2^52`: IEEE addition rounds half to even too, and the integral float it
-leaves hashes and compares like the builtin's int. Past that, and for nan
-and inf, the builtin itself is called, so the keys and the errors are its.
-Vector nodes go through one arity-2 routine and matrix nodes through one
-four-edge routine; each is straight-line code that builds the unique-table
-key directly, with the pivot in slot 0 unless the slots before it are zero.
+the zero edge itself.
+
+Vector nodes are interned: structurally identical ones, with weights
+compared after rounding each component to EPS-wide buckets, share one entry
+of a per-level unique table, so equality of state subdiagrams is object
+identity. A component x's bucket is x / EPS rounded half to even, as the
+builtin `round` rounds it. While |x / EPS| < 2^51 it is computed as
+`x/EPS + 1.5*2^52 - 1.5*2^52`: IEEE addition rounds half to even too, and
+the integral float it leaves hashes and compares like the builtin's int.
+Past that, and for nan and inf, the builtin itself is called, so the keys
+and the errors are its. Matrix nodes are normalized per gate and not
+interned: no gate DD shares a subdiagram within itself, and the multiply
+memo that keys on its nodes lives for one apply, so a table would buy
+nothing. The unique tables, `node_count` and the peaks `run()` reads from
+it therefore count state nodes only.
 
 Matrix DDs have one producer, `gate_dd`, and one consumer, `apply`; `add`
 sums vector DDs only. `gate_dd` builds a gate bottom-up from its target
@@ -44,9 +48,9 @@ level makes each block `[d*I, 0; 0, e]`, where d is 1 when the block's
 remaining row and column bits agree and 0 otherwise: a control at |0>
 leaves the targets and every level below untouched. A block that is zero
 there (an off-diagonal block of a diagonal target block) stays the zero
-edge and is not interned. No other level is visited, so each wire costs at
-most 4^targets interning calls, whatever the number of controls and
-wherever the wires sit.
+edge and is not normalized. No other level is visited, so each wire costs at
+most 4^targets matrix nodes, whatever the number of controls and wherever
+the wires sit.
 
 The multiply and add recursions take each operand's weight and node as
 separate arguments and return one `(weight, node)` edge, so no edge tuple
@@ -84,7 +88,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from time import perf_counter
 
-from .circuit import Gate, check_gate, target_unitary
+from .circuit import Gate, check_bits, check_gate, target_unitary
 
 EPS = 1e-12
 _INV_EPS = 1.0 / EPS
@@ -113,7 +117,11 @@ class SimulationTimeout(RuntimeError):
 
 
 class Node:
-    """Interned DD node; compare with `is`, never construct outside a package."""
+    """DD node, built only by this module.
+
+    A vector (state) node is interned, so compare vector nodes with `is`. A
+    matrix node is built fresh by each gate_dd call and held by no table.
+    """
 
     __slots__ = ("level", "edges")
 
@@ -133,13 +141,54 @@ TERMINAL = Node(-1, ())
 ZERO = (_C0, TERMINAL)
 ONE = (_C1, TERMINAL)
 _ID_TERMINAL = id(TERMINAL)
-# the interning routines fill a bare node's two slots themselves, which spares
+# the node builders fill a bare node's two slots themselves, which spares
 # the frame of a Python-level __init__ call per node
 _new_node = object.__new__
 
 
 def _is_vector_edge(e: Edge) -> bool:
     return e[1] is TERMINAL or len(e[1].edges) == 4
+
+
+def _norm_matrix(level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
+    """Normalize the matrix node [e0, e1; e2, e3] into a fresh node, or reduce [e, 0; 0, e] to e.
+
+    The pivot is the first slot whose weight is not within EPS of zero, as
+    slot 1 is in an X-like block. The slots before it become canonical zeros,
+    the pivot slot gets weight exactly 1, and each slot after it is divided by
+    the pivot and snapped to the canonical zero when within EPS. No table
+    holds the node (see the module docstring).
+    """
+    edges = [*e0, *e1, *e2, *e3]
+    pivot = None
+    for i in (0, 2, 4, 6):
+        w = edges[i]
+        if pivot is not None:
+            if w:
+                w = w / pivot
+                if -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
+                    w = _C0
+            if w:
+                edges[i] = w
+            else:
+                edges[i : i + 2] = ZERO
+        elif -EPS <= w.real <= EPS and -EPS <= w.imag <= EPS:
+            edges[i : i + 2] = ZERO
+        else:
+            pivot, p = w, i
+            edges[i] = _C1
+    if pivot is None:
+        return ZERO
+    if not (p or edges[2] or edges[4]) and edges[7] is edges[1]:
+        # slot 3 in the bucket of 1: its components times 1/EPS round (half to
+        # even) to 1/EPS and 0, as a vector key's would
+        w3 = edges[6]
+        if _KEY_ONE - 0.5 <= w3.real * _INV_EPS <= _KEY_ONE + 0.5 and -0.5 <= w3.imag * _INV_EPS <= 0.5:
+            return (pivot, edges[1])  # [e, 0; 0, e] is e: the identity on this level is skipped
+    node = _new_node(Node)
+    node.level = level
+    node.edges = tuple(edges)
+    return (pivot, node)
 
 
 class DDPackage:
@@ -161,7 +210,7 @@ class DDPackage:
     # -- node construction -------------------------------------------------
 
     def _intern2(self, level: int, w0: complex, n0: Node, w1: complex, n1: Node) -> Edge:
-        """Normalize and intern a vector node; the arity-2 case of _norm_intern, same keys."""
+        """Normalize and intern a vector node: the pivot, division and zero snap of _norm_matrix."""
         if -EPS <= w0.real <= EPS and -EPS <= w0.imag <= EPS:
             if -EPS <= w1.real <= EPS and -EPS <= w1.imag <= EPS:
                 return ZERO
@@ -193,84 +242,6 @@ class DDPackage:
             node = table[key] = _new_node(Node)
             node.level = level
             node.edges = (w0, n0, w1, n1)
-            self.node_count += 1
-        return (pivot, node)
-
-    def _norm_intern(self, level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
-        """Normalize and intern the matrix node [e0, e1; e2, e3], or reduce [e, 0; 0, e] to e.
-
-        The pivot is slot 0 unless its weight is within EPS of zero, as in an
-        X-like block. Then the zero leading slots are shifted out, the rest is
-        normalized as if the pivot sat in slot 0, and the leading slots are put
-        back as canonical zeros, in the node's edges and in its key alike.
-        """
-        w0, n0 = e0
-        w1, n1 = e1
-        w2, n2 = e2
-        w3, n3 = e3
-        lead = 0
-        while -EPS <= w0.real <= EPS and -EPS <= w0.imag <= EPS:
-            if lead == 3:
-                return ZERO
-            w0, n0, w1, n1, w2, n2, w3, n3 = w1, n1, w2, n2, w3, n3, _C0, TERMINAL
-            lead += 1
-        pivot = w0
-        if w1:
-            w1 = w1 / pivot
-            if -EPS <= w1.real <= EPS and -EPS <= w1.imag <= EPS:
-                w1 = _C0
-        if w1:
-            r1 = w1.real * _INV_EPS
-            i1 = w1.imag * _INV_EPS
-            if -_FAST < r1 < _FAST and -_FAST < i1 < _FAST:
-                r1 = r1 + _ROUND - _ROUND
-                i1 = i1 + _ROUND - _ROUND
-            else:
-                r1, i1 = _round_buckets(r1, i1)
-        else:
-            w1, n1, r1, i1 = _C0, TERMINAL, 0, 0
-        if w2:
-            w2 = w2 / pivot
-            if -EPS <= w2.real <= EPS and -EPS <= w2.imag <= EPS:
-                w2 = _C0
-        if w2:
-            r2 = w2.real * _INV_EPS
-            i2 = w2.imag * _INV_EPS
-            if -_FAST < r2 < _FAST and -_FAST < i2 < _FAST:
-                r2 = r2 + _ROUND - _ROUND
-                i2 = i2 + _ROUND - _ROUND
-            else:
-                r2, i2 = _round_buckets(r2, i2)
-        else:
-            w2, n2, r2, i2 = _C0, TERMINAL, 0, 0
-        if w3:
-            w3 = w3 / pivot
-            if -EPS <= w3.real <= EPS and -EPS <= w3.imag <= EPS:
-                w3 = _C0
-        if w3:
-            r3 = w3.real * _INV_EPS
-            i3 = w3.imag * _INV_EPS
-            if -_FAST < r3 < _FAST and -_FAST < i3 < _FAST:
-                r3 = r3 + _ROUND - _ROUND
-                i3 = i3 + _ROUND - _ROUND
-            else:
-                r3, i3 = _round_buckets(r3, i3)
-        else:
-            w3, n3, r3, i3 = _C0, TERMINAL, 0, 0
-        if not (lead or w1 or w2) and n3 is n0 and r3 == _KEY_ONE and not i3:
-            return (pivot, n0)  # [e, 0; 0, e] is e: the identity on this level is skipped
-        key = (_KEY_ONE, 0, id(n0), r1, i1, id(n1), r2, i2, id(n2), r3, i3, id(n3))
-        if lead:
-            key = (0, 0, _ID_TERMINAL) * lead + key[: 12 - 3 * lead]
-        table = self._unique[level]
-        node = table.get(key)
-        if node is None:
-            edges = (_C1, n0, w1, n1, w2, n2, w3, n3)
-            if lead:
-                edges = (_C0, TERMINAL) * lead + edges[: 8 - 2 * lead]
-            node = table[key] = _new_node(Node)
-            node.level = level
-            node.edges = edges
             self.node_count += 1
         return (pivot, node)
 
@@ -317,7 +288,7 @@ class DDPackage:
         # between wires are skipped.
         blocks = [(v, TERMINAL) for row in block for v in row]
         live = range(dim)
-        intern = self._norm_intern
+        norm = _norm_matrix
         for level in sorted(gate.wires, reverse=True):
             if level in targets:
                 # fold this target's row and column bit (targets[0] is the
@@ -329,7 +300,7 @@ class DDPackage:
                 for r in live:
                     for c in live:
                         i = r * dim + c
-                        blocks[i] = intern(level, blocks[i], blocks[i + b], blocks[i + bd], blocks[i + bd + b])
+                        blocks[i] = norm(level, blocks[i], blocks[i + b], blocks[i + bd], blocks[i + bd + b])
             else:
                 # a control at |0> leaves the targets and every level below
                 # untouched; a zero off-diagonal block stays zero, uninterned
@@ -337,9 +308,9 @@ class DDPackage:
                     for c in live:
                         i = r * dim + c
                         if r == c:
-                            blocks[i] = intern(level, ONE, ZERO, ZERO, blocks[i])
+                            blocks[i] = norm(level, ONE, ZERO, ZERO, blocks[i])
                         elif blocks[i][0]:
-                            blocks[i] = intern(level, ZERO, ZERO, ZERO, blocks[i])
+                            blocks[i] = norm(level, ZERO, ZERO, ZERO, blocks[i])
         return blocks[0]
 
     # -- arithmetic ---------------------------------------------------------
@@ -501,12 +472,6 @@ class DDPackage:
 
 
 # -- package-independent helpers --------------------------------------------
-
-
-def check_bits(bits: str, num_qubits: int) -> None:
-    """Raise ValueError unless bits is a basis state of num_qubits qubits."""
-    if len(bits) != num_qubits or set(bits) - {"0", "1"}:
-        raise ValueError(f"need a {num_qubits}-bit string of 0/1, got {bits!r}")
 
 
 def amplitude(edge: Edge, bits: str) -> complex:

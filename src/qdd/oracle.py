@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, gate_unitary, validate
+from .circuit import Circuit, check_bits, gate_unitary, validate
 
 MAX_ORACLE_QUBITS = 14
 
@@ -25,8 +25,7 @@ class DenseState:
     num_qubits: int
 
     def amplitude(self, bits: str) -> complex:
-        if len(bits) != self.num_qubits or set(bits) - {"0", "1"}:
-            raise ValueError(f"need a {self.num_qubits}-char bitstring, got {bits!r}")
+        check_bits(bits, self.num_qubits)
         return complex(self.amplitudes[int(bits, 2)])
 
     def norm(self) -> float:

@@ -10,9 +10,11 @@ Wall time covers package construction through the last gate, so it includes
 unique-table and compute-cache work but not the rewrite pass or validation.
 RunStats splits it: gate DD construction, apply, the package's own sweeps,
 and the closing young-generation pass; what is left is package setup and
-loop overhead. Peak nodes is sampled from the package's live-node counter
-after every gate, which bounds the true in-flight peak from below but is
-exact for the between-gate states that dominate memory.
+loop overhead. Peak nodes is sampled from the package's node counter after
+every gate. That counter holds state nodes only (gate DDs are built per gate
+and never interned), dead ones included until a sweep: the package sweeps
+only past GC_THRESHOLD, so below it the peak counts every state node the run
+has made, not the nodes of its largest state.
 
 Python's cyclic garbage collector is suspended, and the interpreter's
 recursion limit raised, for the simulation only. The package frees nodes
@@ -33,7 +35,7 @@ from time import perf_counter
 import numpy as np
 
 from . import dd
-from .circuit import Circuit, QubitPermutation, validate
+from .circuit import Circuit, QubitPermutation, check_bits, validate
 from .reorder import ReorderMode, permute_bits, reorder
 
 
@@ -65,7 +67,7 @@ class RunResult:
 
     def amplitude(self, bits: str) -> complex:
         """Amplitude of the original-labels basis state `bits`."""
-        dd.check_bits(bits, self.num_qubits)  # before relabeling, so an error names the caller's bits
+        check_bits(bits, self.num_qubits)  # before relabeling, so an error names the caller's bits
         return dd.amplitude(self.final_state, permute_bits(self.output_permutation, bits))
 
     def statevector(self) -> np.ndarray:

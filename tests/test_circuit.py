@@ -75,6 +75,8 @@ def test_validate_accepts_good_circuit():
         ((Gate(GateKind.CX, controls=[0], targets=[1]),), "cx wires must be tuples"),
         ((Gate(GateKind.H, targets=[0]),), "h wires must be tuples"),
         ((Gate(GateKind.H, targets=([0],)),), "not an int"),
+        ((Gate(GateKind.H, targets=(True,)),), "not an int"),
+        ((Gate(GateKind.CX, controls=(False,), targets=(True,)),), "not an int"),
     ],
 )
 def test_validate_rejects(gates, fragment):
@@ -111,6 +113,8 @@ def test_permutation_rejects_non_bijections():
         QubitPermutation((0, 2))
     with pytest.raises(ValueError):
         QubitPermutation((0.0, 1.9))
+    with pytest.raises(ValueError):
+        QubitPermutation((True, False))
 
 
 def test_permutation_compose_and_invert():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from qdd import dd
-from qdd.circuit import MAX_UNITARY_WIRES, Circuit, GateKind, cp, cx, dagger, gate_unitary, h, mcp, p, rz, swap, x, y
+from qdd.circuit import (
+    GATE_TABLE, MAX_UNITARY_WIRES, Circuit, Gate, GateKind, cp, cx, dagger, gate_unitary, h, mcp, p, rz, swap, x, y,
+)
 from qdd.dd import (
     DDPackage,
     Edge,
@@ -73,7 +75,7 @@ def test_first_nonzero_successor_gets_weight_exactly_one(pkg3):
 def test_all_zero_children_collapse_to_zero_edge(pkg3):
     e = pkg3.make_vector_node(2, ZERO, ZERO)
     assert e == ZERO
-    m = pkg3._norm_intern(2, ZERO, ZERO, ZERO, ZERO)
+    m = dd._norm_matrix(2, ZERO, ZERO, ZERO, ZERO)
     assert m == ZERO
 
 
@@ -120,26 +122,24 @@ def test_wrap_weights_include_a_division_residue():
 @pytest.mark.parametrize("below", [False, True], ids=["terminal", "node"])
 @pytest.mark.parametrize("w", WRAP_WEIGHTS, ids=repr)
 def test_wrap_matches_general_interning(w, below):
-    # general interning reduces the identity wrapper [e, 0; 0, e] to e itself and makes
-    # no node, around a terminal e and around a Z-like node e one level down alike
-    pkg = DDPackage(3)
+    # matrix normalization reduces the identity wrapper [e, 0; 0, e] to e itself and
+    # makes no node, around a terminal e and around a Z-like node e one level down alike
     child, level = TERMINAL, 2
     if below:
-        child, level = pkg._norm_intern(2, dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL))[1], 1
-    before = pkg.node_count
-    got = pkg._norm_intern(level, (w, child), ZERO, ZERO, (w, child))
-    assert pkg.node_count == before
+        child, level = dd._norm_matrix(2, dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL))[1], 1
+    got = dd._norm_matrix(level, (w, child), ZERO, ZERO, (w, child))
     if -dd.EPS <= w.real <= dd.EPS and -dd.EPS <= w.imag <= dd.EPS:
         assert got == ZERO
     else:
         assert got[1] is child and _bucket(got[0]) == _bucket(w)
         # a sign flip in slot 3 is a Z on this level, not the identity
-        assert pkg._norm_intern(level, (w, child), ZERO, ZERO, (-w, child))[1].level == level
+        assert dd._norm_matrix(level, (w, child), ZERO, ZERO, (-w, child))[1].level == level
 
 
-def _norm_intern_reference(pkg: DDPackage, level: int, edges: list[Edge]) -> Edge:
-    # the list-taking matrix interning that the four-edge routine replaced, kept
-    # line for line as the reference for its weights, nodes and keys
+def _norm_matrix_reference(level: int, edges: list[Edge]) -> Edge:
+    # the list-taking matrix interning that a four-edge routine replaced, kept line
+    # for line as the reference for its weights, children and identity reduction;
+    # only its unique table is gone, since matrix nodes are no longer interned
     pidx = -1
     pivot = 0j
     for i, e in enumerate(edges):
@@ -173,13 +173,7 @@ def _norm_intern_reference(pkg: DDPackage, level: int, edges: list[Edge]) -> Edg
     key = tuple(key_parts)
     if edges[1] is ZERO and edges[2] is ZERO and key[9:] == key[:3]:
         return (pivot, edges[0][1])
-    table = pkg._unique[level]
-    node = table.get(key)
-    if node is None:
-        node = dd.Node(level, (*edges[0], *edges[1], *edges[2], *edges[3]))
-        table[key] = node
-        pkg.node_count += 1
-    return (pivot, node)
+    return (pivot, dd.Node(level, (*edges[0], *edges[1], *edges[2], *edges[3])))
 
 
 def _describe(edge: Edge) -> tuple:
@@ -192,17 +186,16 @@ def _describe(edge: Edge) -> tuple:
 @pytest.mark.parametrize("below", [False, True], ids=["terminal", "node"])
 def test_norm_intern_matches_list_reference(pivot, below):
     # every weight at the pivot slot, slots before it within EPS of zero, slots after
-    # it drawn from the same weights; each package starts fresh, and the children
-    # are shared nodes one level down, so the two results can be compared by repr
+    # it drawn from the same weights; the children are shared nodes one level
+    # down, so the two results can be compared by repr
     zeros = [w for w in WRAP_WEIGHTS if -dd.EPS <= w.real <= dd.EPS and -dd.EPS <= w.imag <= dd.EPS]
     assert 0j in zeros and len(zeros) > 4
     rng = random.Random(f"norm-intern:{pivot}:{below}")
     children = [TERMINAL]
     if below:
-        src = DDPackage(3)
         children = [
-            src._norm_intern(2, dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL))[1],
-            src._norm_intern(2, ZERO, dd.ONE, dd.ONE, ZERO)[1],
+            dd._norm_matrix(2, dd.ONE, ZERO, ZERO, (-1 + 0j, TERMINAL))[1],
+            dd._norm_matrix(2, ZERO, dd.ONE, dd.ONE, ZERO)[1],
         ]
     level = 1 if below else 2
     for w in WRAP_WEIGHTS:
@@ -210,14 +203,9 @@ def test_norm_intern_matches_list_reference(pivot, below):
             weights = [rng.choice(zeros) for _ in range(pivot)] + [w]
             weights += [rng.choice(WRAP_WEIGHTS) for _ in range(3 - pivot)]
             edges = [(v, rng.choice(children)) for v in weights]
-            new, ref = DDPackage(3), DDPackage(3)
-            got = new._norm_intern(level, *edges)
-            want = _norm_intern_reference(ref, level, list(edges))
+            got = dd._norm_matrix(level, *edges)
+            want = _norm_matrix_reference(level, list(edges))
             assert _describe(got) == _describe(want), edges
-            assert new.node_count == ref.node_count, edges
-            # the same key: the reference finds the node the routine made
-            again = _norm_intern_reference(new, level, list(edges))
-            assert again[1] is got[1] and new.node_count == ref.node_count, edges
 
 
 def _scaled_to(t: float) -> float | None:
@@ -241,10 +229,11 @@ def test_unique_keys_bucket_like_round():
     # every scaled component is bucketed as round() buckets it: ties go to
     # even, and past 2^51 round() itself is called; an int key built with
     # round() and a float key with the same values find the node interned
+    # (matrix nodes are not interned and have no key)
     scaled = [(t, _scaled_to(t)) for t in _TIES + _BOUNDARY]
     found = [(t, v) for t, v in scaled if v is not None]
     assert len(found) > 1800 and all(v is not None for t, v in scaled if abs(t) > 2**50)
-    vec, mat = DDPackage(1), DDPackage(1)
+    vec = DDPackage(1)
     t_id = id(TERMINAL)
     for t, v in found:
         w = complex(v, 1.0)  # the unit imaginary part keeps small ties off the zero snap
@@ -252,10 +241,7 @@ def test_unique_keys_bucket_like_round():
         _, node = vec._intern2(0, dd.ONE[0], TERMINAL, w, TERMINAL)
         for key in [(dd._KEY_ONE, 0, t_id, r, i, t_id), (float(dd._KEY_ONE), 0.0, t_id, float(r), float(i), t_id)]:
             assert vec._unique[0][key] is node, t
-        _, node = mat._norm_intern(0, dd.ONE, (w, TERMINAL), ZERO, dd.ONE)
-        key = (dd._KEY_ONE, 0, t_id, r, i, t_id, 0, 0, t_id, dd._KEY_ONE, 0, t_id)
-        assert mat._unique[0][key] is node, t
-    assert vec.node_count == mat.node_count == len({round(t) for t, _ in found})
+    assert vec.node_count == len({round(t) for t, _ in found})
 
 
 @pytest.mark.parametrize(
@@ -267,8 +253,6 @@ def test_non_finite_weights_raise_as_round_does(w, error):
     pkg = DDPackage(1)
     with pytest.raises(error):
         pkg._intern2(0, dd.ONE[0], TERMINAL, w, TERMINAL)
-    with pytest.raises(error):
-        pkg._norm_intern(0, dd.ONE, (w, TERMINAL), ZERO, dd.ONE)
     assert pkg.node_count == 0
 
 
@@ -487,28 +471,27 @@ def test_gate_dd_full_operator_matches_embedded_unitary():
             assert np.max(np.abs(col - dense[:, c])) < 1e-12, (g, c)
 
 
-def test_wide_mcp_gate_dd_is_linear():
+def test_wide_mcp_gate_dd_is_linear(monkeypatch):
     # controls on both sides of the target: a control level makes one node per
     # target block, so the build is linear in the wires, never 4^k
+    norm = dd._norm_matrix
     for k in range(2, MAX_UNITARY_WIRES + 1):
         pkg = DDPackage(k)
         calls = 0
         limit = 4 * k
 
-        def counted(f):
-            def wrapper(*args):
-                nonlocal calls
-                calls += 1
-                if calls > limit:
-                    raise AssertionError(f"more than {limit} interning calls at k={k}")
-                return f(*args)
-            return wrapper
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > limit:
+                raise AssertionError(f"more than {limit} normalization calls at k={k}")
+            return norm(*args)
 
-        pkg._norm_intern = counted(pkg._norm_intern)
+        monkeypatch.setattr(dd, "_norm_matrix", counted)
         target = k // 2
         gate = mcp(0.7, [q for q in range(k) if q != target], target)
         op = pkg.gate_dd(gate)
-        assert pkg.node_count == k
+        assert count_nodes(op) == k
         assert pkg.amplitude(pkg.apply(op, pkg.basis_state("1" * k)), "1" * k) == pytest.approx(cmath.exp(0.7j))
 
 
@@ -517,20 +500,38 @@ def test_wide_mcp_gate_dd_is_linear():
     [(cp(0.7, 2, 0), 3, 2), (mcp(0.7, (0, 2), 1), 4, 3)],
     ids=["cp-control-below", "mcp-controls-around"],
 )
-def test_control_level_skips_zero_blocks(gate, calls, nodes):
-    # a zero off-diagonal block at a control level stays zero without an interning call
+def test_control_level_skips_zero_blocks(gate, calls, nodes, monkeypatch):
+    # a zero off-diagonal block at a control level stays zero without a normalization call
     pkg = DDPackage(3)
     seen = 0
-    inner = pkg._norm_intern
+    inner = dd._norm_matrix
 
     def counted(*args):
         nonlocal seen
         seen += 1
         return inner(*args)
 
-    pkg._norm_intern = counted
-    pkg.gate_dd(gate)
-    assert (seen, pkg.node_count) == (calls, nodes)
+    monkeypatch.setattr(dd, "_norm_matrix", counted)
+    op = pkg.gate_dd(gate)
+    assert (seen, count_nodes(op)) == (calls, nodes)
+
+
+def _gate_of(kind: GateKind) -> Gate:
+    # one gate of each kind on 3 wires, wires out of order to touch every level
+    nc, nt, block, _ = GATE_TABLE[kind]
+    nc = 2 if nc is None else nc
+    wires = (2, 0, 1)
+    return Gate(kind, 0.7 if callable(block) else None, wires[:nc], wires[nc : nc + nt])
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.name)
+def test_gate_dd_interns_nothing(kind):
+    # gate DDs are built for one apply and never shared: the unique tables, and
+    # so node_count and run()'s peaks, hold state nodes only
+    pkg = DDPackage(3)
+    op = pkg.gate_dd(_gate_of(kind))
+    assert count_nodes(op) > 0
+    assert pkg.node_count == 0 and not any(pkg._unique)
 
 
 def test_gate_inverse_roundtrip_returns_same_state():
