@@ -35,10 +35,13 @@ builtin `round` rounds it. While |x / EPS| < 2^51 it is computed as
 the integral float it leaves hashes and compares like the builtin's int.
 Past that, and for nan and inf, the builtin itself is called, so the keys
 and the errors are its. Matrix nodes are normalized per gate and not
-interned: no gate DD shares a subdiagram within itself, and the multiply
-memo that keys on its nodes lives for one apply, so a table would buy
-nothing. The unique tables, `node_count` and the peaks `run()` reads from
-it therefore count state nodes only.
+interned. The multiply memo keys on matrix nodes by identity and lives for
+one apply, so sharing within one gate DD is all it can use, and `gate_dd`
+provides that itself: equal blocks at a control level get one node (a
+control below its target has two equal diagonal blocks and two equal
+off-diagonal ones). A table across gates would buy nothing. The unique tables,
+`node_count` and the peaks `run()` reads from it therefore count state
+nodes only.
 
 Matrix DDs have one producer, `gate_dd`, and one consumer, `apply`; `add`
 sums vector DDs only. `gate_dd` builds a gate bottom-up from its target
@@ -303,14 +306,25 @@ class DDPackage:
                         blocks[i] = norm(level, blocks[i], blocks[i + b], blocks[i + bd], blocks[i + bd + b])
             else:
                 # a control at |0> leaves the targets and every level below
-                # untouched; a zero off-diagonal block stays zero, uninterned
+                # untouched; a zero off-diagonal block stays zero, not
+                # normalized. Equal blocks get one node (a control below its
+                # target sees two equal diagonal and two equal off-diagonal
+                # blocks), so the multiply memo, keyed on nodes, serves both.
+                made = {}
                 for r in live:
                     for c in live:
                         i = r * dim + c
+                        e = blocks[i]
                         if r == c:
-                            blocks[i] = norm(level, ONE, ZERO, ZERO, blocks[i])
-                        elif blocks[i][0]:
-                            blocks[i] = norm(level, ZERO, ZERO, ZERO, blocks[i])
+                            key = (ONE, e)  # [I, 0; 0, e]
+                        elif e[0]:
+                            key = (ZERO, e)  # [0, 0; 0, e]
+                        else:
+                            continue
+                        edge = made.get(key)
+                        if edge is None:
+                            edge = made[key] = norm(level, key[0], ZERO, ZERO, e)
+                        blocks[i] = edge
         return blocks[0]
 
     # -- arithmetic ---------------------------------------------------------

@@ -497,11 +497,13 @@ def test_wide_mcp_gate_dd_is_linear(monkeypatch):
 
 @pytest.mark.parametrize(
     "gate, calls, nodes",
-    [(cp(0.7, 2, 0), 3, 2), (mcp(0.7, (0, 2), 1), 4, 3)],
-    ids=["cp-control-below", "mcp-controls-around"],
+    [(cp(0.7, 2, 0), 3, 2), (mcp(0.7, (0, 2), 1), 4, 3), (cx(2, 0), 3, 3)],
+    ids=["cp-control-below", "mcp-controls-around", "cx-control-below"],
 )
 def test_control_level_skips_zero_blocks(gate, calls, nodes, monkeypatch):
-    # a zero off-diagonal block at a control level stays zero without a normalization call
+    # a zero off-diagonal block at a control level stays zero without a
+    # normalization call, and equal blocks there are normalized once into one
+    # node: cx(2, 0)'s two diagonal and two off-diagonal blocks make 2 nodes, not 4
     pkg = DDPackage(3)
     seen = 0
     inner = dd._norm_matrix
