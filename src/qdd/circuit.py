@@ -12,6 +12,9 @@ gate_unitary embeds it in the dense matrix the oracle uses.
 A Gate is a plain record that keeps the values it is given. A valid gate is
 defined once, by check_gate: validate applies it to every gate of a circuit,
 and the QASM reader and gate_dd call it per gate.
+A wire relabeling is a plain tuple, mapping[q] being the wire that holds
+original qubit q; check_permutation is its one rule, and Circuit applies it
+to the output permutation it is given.
 """
 
 from __future__ import annotations
@@ -169,67 +172,41 @@ def _is_wire(v: object) -> bool:
 
 
 @dataclass(frozen=True)
-class QubitPermutation:
-    """Wire relabeling: mapping[q] is the wire that now holds original qubit q."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        n = len(self.mapping)
-        if not all(_is_wire(v) for v in self.mapping) or sorted(self.mapping) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.mapping}")
-
-    @classmethod
-    def identity(cls, n: int) -> "QubitPermutation":
-        return cls(tuple(range(n)))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.mapping))
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def inverse(self) -> "QubitPermutation":
-        inv = [0] * len(self.mapping)
-        for q, w in enumerate(self.mapping):
-            inv[w] = q
-        return QubitPermutation(tuple(inv))
-
-    def then(self, second: "QubitPermutation") -> "QubitPermutation":
-        """Composition: apply self first, then second."""
-        if len(second) != len(self):
-            raise ValueError("permutation size mismatch")
-        return QubitPermutation(tuple(second.mapping[v] for v in self.mapping))
-
-
-@dataclass(frozen=True)
 class Circuit:
     """Immutable gate list over num_qubits wires plus an output relabeling.
 
-    output_permutation records where each original qubit's content ended up
-    after swap elimination; identity for freshly built circuits.
+    output_permutation[q] is the wire that holds original qubit q's content
+    after swap elimination; tuple(range(num_qubits)) when none is given.
     """
 
     num_qubits: int
     gates: tuple[Gate, ...] = ()
-    output_permutation: QubitPermutation | None = None
+    output_permutation: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
+        n = self.num_qubits
         if self.output_permutation is None:
-            object.__setattr__(
-                self, "output_permutation", QubitPermutation.identity(self.num_qubits)
-            )
-        elif len(self.output_permutation) != self.num_qubits:
-            raise ValueError("output_permutation size does not match num_qubits")
+            object.__setattr__(self, "output_permutation", tuple(range(n)))
+        else:
+            perm = tuple(self.output_permutation)
+            object.__setattr__(self, "output_permutation", perm)
+            check_permutation(perm)
+            if len(perm) != n:
+                raise ValueError(f"output_permutation has {len(perm)} entries for {n} qubits")
 
 
 def check_bits(bits: str, num_qubits: int) -> None:
     """Raise ValueError unless bits is a basis state of num_qubits qubits (qubit 0 first)."""
     if len(bits) != num_qubits or set(bits) - {"0", "1"}:
         raise ValueError(f"need a {num_qubits}-bit string of 0/1, got {bits!r}")
+
+
+def check_permutation(mapping: Sequence[int]) -> None:
+    """Raise ValueError unless mapping is a permutation of 0..n-1 of int (not bool) entries."""
+    n = len(mapping)
+    if not all(_is_wire(v) for v in mapping) or sorted(mapping) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {mapping}")
 
 
 def check_gate(gate: Gate, num_qubits: int) -> None:

@@ -148,7 +148,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         "mode": args.reorder,
         **asdict(result.stats),
         "norm": math.sqrt(dd.norm_squared(result.final_state)),
-        "output_permutation": list(result.output_permutation.mapping),
+        "output_permutation": list(result.output_permutation),
         "queries": queries,
     }, args.json)
     return EXIT_OK
@@ -200,7 +200,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # the oracle answers in wire labels and statevector() in original labels:
     # original qubit q's bit is the bit of wire mapping[q]
     wires = simulate_dense(program.circuit).amplitudes.reshape((2,) * n)
-    original = np.transpose(wires, program.circuit.output_permutation.mapping).reshape(-1)
+    original = np.transpose(wires, program.circuit.output_permutation).reshape(-1)
     err = max_abs_diff(DenseState(original, n), result.statevector())
     ok = err <= 1e-9
     _report({

@@ -521,21 +521,24 @@ def count_nodes(edge: Edge) -> int:
     return len(seen) - 1
 
 
-def to_statevector(edge: Edge, num_qubits: int, positions: Sequence[int] | None = None):
+def to_statevector(edge: Edge, num_qubits: int, mapping: Sequence[int] | None = None):
     """Expand a vector DD into a dense numpy array of 2**num_qubits amplitudes.
 
-    Level q's bit is index bit q counted from the most significant end, or
-    bit positions[q] when a relabeling is given; writing each amplitude at
-    its relabeled index spares a transpose of the whole array.
+    Index bit q, counted from the most significant end, is the bit of level q,
+    or of level mapping[q] when an output permutation is given (original
+    qubit q lives on wire mapping[q]); writing each amplitude at its relabeled
+    index spares a transpose of the whole array.
     """
     import numpy as np
 
     out = np.zeros(1 << num_qubits, dtype=np.complex128)
     if edge[0] == 0:
         return out
-    if positions is None:
-        positions = range(num_qubits)
-    one_bit = [1 << (num_qubits - 1 - p) for p in positions]
+    if mapping is None:
+        mapping = range(num_qubits)
+    one_bit = [0] * num_qubits
+    for q, w in enumerate(mapping):
+        one_bit[w] = 1 << (num_qubits - 1 - q)
     stack = [(edge[1], complex(edge[0]), 0)]
     while stack:
         node, w, prefix = stack.pop()

@@ -26,7 +26,9 @@ sidecar comment
 meaning original qubit q now lives on wire p_q. parse() restores that
 comment into Circuit.output_permutation, which is how transformed circuits
 keep answering amplitude queries in original labels. A comment that starts
-with `output_permutation` but is not of that form is an error, not a comment.
+with `output_permutation` but is not of that form, a second such comment, and
+one that Circuit rejects (not a permutation, or the wrong size) are errors
+naming the comment's line.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import re
 from dataclasses import dataclass
 from math import pi as _PI
 
-from .circuit import GATE_TABLE, Circuit, Gate, GateKind, QubitPermutation, check_gate, validate
+from .circuit import GATE_TABLE, Circuit, Gate, GateKind, check_gate, validate
 
 
 class QasmError(Exception):
@@ -196,7 +198,8 @@ def _gate(stmt: str, name: str, qreg: tuple[str, int] | None) -> list[Gate]:
 def parse(text: str) -> ParsedProgram:
     """Parse a QASM program in the supported subset."""
     code: list[str] = []
-    perm: QubitPermutation | None = None
+    perm: list[str] | None = None  # the sidecar's entries, and its line
+    perm_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         kept, _, comment = raw.partition("//")
         code.append(kept)
@@ -205,10 +208,10 @@ def parse(text: str) -> ParsedProgram:
             m = _PERM_COMMENT_RE.fullmatch(comment)
             if m is None:
                 raise QasmError("malformed output_permutation comment", lineno, comment)
-            try:
-                perm = QubitPermutation(tuple(int(v) for v in m[1].split()))
-            except ValueError as exc:
-                raise QasmError(f"bad output_permutation comment ({exc})", lineno) from None
+            if perm is not None:
+                raise QasmError(f"second output_permutation comment (the first is at line {perm_line})",
+                                lineno, comment)
+            perm, perm_line = m[1].split(), lineno
     body = "\n".join(code)
 
     *pieces, tail = body.split(";")
@@ -265,10 +268,11 @@ def parse(text: str) -> ParsedProgram:
         raise QasmError("empty program: expected 'OPENQASM 2.0;'")
     if qreg is None:
         raise QasmError("no qreg declared")
-    size = qreg[1]
-    if perm is not None and len(perm) != size:
-        raise QasmError(f"output_permutation has {len(perm)} entries for a {size}-qubit register")
-    return ParsedProgram(Circuit(size, tuple(gates), perm), tuple(ignored))
+    try:  # Circuit checks only the permutation
+        circuit = Circuit(qreg[1], tuple(gates), None if perm is None else tuple(_int(v) for v in perm))
+    except (QasmError, ValueError) as exc:
+        raise QasmError(f"bad output_permutation comment ({exc})", perm_line) from None
+    return ParsedProgram(circuit, tuple(ignored))
 
 
 def _format_gate(gate: Gate) -> str:
@@ -285,6 +289,6 @@ def emit(circuit: Circuit) -> str:
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
     lines += [_format_gate(g) for g in circuit.gates]
     perm = circuit.output_permutation
-    if not perm.is_identity:
-        lines.append("// output_permutation: " + " ".join(str(v) for v in perm.mapping))
+    if perm != tuple(range(circuit.num_qubits)):
+        lines.append("// output_permutation: " + " ".join(str(v) for v in perm))
     return "\n".join(lines) + "\n"

@@ -7,17 +7,18 @@ holds what the original circuit keeps on wire q. Deleting SWAP(a, b) updates
 the tracking by exchanging the images of a and b; every surviving gate after
 the deletion point is rewritten onto the mapped wires.
 
-The pass runs once, tracks the mapping in one list and builds one
-QubitPermutation at the end; if it deletes nothing it returns its input.
+The pass runs once and tracks the mapping in one list; if it deletes nothing
+it returns its input.
 
 Modes:
   none      keep the circuit as is,
   trailing  delete only the maximal run of SWAPs at the very end,
   all       scan left to right, deleting every SWAP and relabeling the rest.
 
-The transformed circuit's output_permutation composes the pass permutation
-with whatever permutation the input already carried, so amplitude queries in
-original labels keep working through permute_bits.
+The transformed circuit's output_permutation composes the pass mapping with
+whatever permutation the input already carried (original qubit q sat on wire
+carried[q], which the pass moved to mapping[carried[q]]), so amplitude
+queries in original labels keep working through permute_bits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, GateKind, QubitPermutation, relabel_gate
+from .circuit import Circuit, GateKind, relabel_gate
 
 
 class ReorderMode(str, Enum):
@@ -36,24 +37,22 @@ class ReorderMode(str, Enum):
 
 @dataclass(frozen=True)
 class ReorderReport:
-    """What one pass invocation did; output_permutation covers this pass only."""
+    """What one pass invocation did."""
 
     swaps_removed: int
-    output_permutation: QubitPermutation
-    mode: ReorderMode
 
 
-def permute_bits(perm: QubitPermutation, bits: str) -> str:
+def permute_bits(perm: tuple[int, ...], bits: str) -> str:
     """Bitstring to query on the transformed circuit for original-label bits.
 
-    Original qubit q's value lands at position perm.mapping[q] of the result.
+    Original qubit q's value lands at position perm[q] of the result.
     """
     n = len(perm)
     if len(bits) != n:
         raise ValueError(f"bitstring length {len(bits)} does not match permutation size {n}")
     out = [""] * n
     for q, ch in enumerate(bits):
-        out[perm.mapping[q]] = ch
+        out[perm[q]] = ch
     return "".join(out)
 
 
@@ -79,7 +78,7 @@ def reorder(circuit: Circuit, mode: ReorderMode) -> tuple[Circuit, ReorderReport
         else:
             out.append(relabel_gate(g, mapping))
     removed = len(gates) - len(out)
-    perm = QubitPermutation(tuple(mapping))
     if removed:
-        circuit = Circuit(n, tuple(out), circuit.output_permutation.then(perm))
-    return circuit, ReorderReport(removed, perm, mode)
+        carried = circuit.output_permutation
+        circuit = Circuit(n, tuple(out), tuple(mapping[w] for w in carried))
+    return circuit, ReorderReport(removed)

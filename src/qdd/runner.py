@@ -35,7 +35,7 @@ from time import perf_counter
 import numpy as np
 
 from . import dd
-from .circuit import Circuit, QubitPermutation, check_bits, validate
+from .circuit import Circuit, check_bits, validate
 from .reorder import ReorderMode, permute_bits, reorder
 
 
@@ -57,24 +57,27 @@ class RunStats:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final state plus the bookkeeping needed to query it."""
+    """Final state plus the bookkeeping needed to query it.
+
+    output_permutation[q] is the wire holding original qubit q; its length is
+    the number of qubits.
+    """
 
     final_state: dd.Edge
-    output_permutation: QubitPermutation
+    output_permutation: tuple[int, ...]
     stats: RunStats
-    num_qubits: int
     package: dd.DDPackage
 
     def amplitude(self, bits: str) -> complex:
         """Amplitude of the original-labels basis state `bits`."""
-        check_bits(bits, self.num_qubits)  # before relabeling, so an error names the caller's bits
+        # before relabeling, so an error names the caller's bits
+        check_bits(bits, len(self.output_permutation))
         return dd.amplitude(self.final_state, permute_bits(self.output_permutation, bits))
 
     def statevector(self) -> np.ndarray:
         """Dense amplitudes indexed by original labels (qubit 0 is the MSB)."""
-        # wire w holds original qubit inverse[w], so its bit goes to that position
-        positions = self.output_permutation.inverse().mapping
-        return dd.to_statevector(self.final_state, self.num_qubits, positions)
+        perm = self.output_permutation
+        return dd.to_statevector(self.final_state, len(perm), perm)
 
 
 def run(
@@ -145,4 +148,4 @@ def run(
         gc_pass_s=gc_pass_s,
         young_objects=young_objects,
     )
-    return RunResult(state, transformed.output_permutation, stats, circuit.num_qubits, pkg)
+    return RunResult(state, transformed.output_permutation, stats, pkg)

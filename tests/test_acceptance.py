@@ -126,11 +126,11 @@ def test_criterion_3_qft3_trailing_fixture():
         and swaps[0] is circuit.gates[-1]
         and report.swaps_removed == 1
         and len(transformed.gates) == len(circuit.gates) - 1
-        and transformed.output_permutation.mapping == (2, 1, 0)
+        and transformed.output_permutation == (2, 1, 0)
     )
     _report(3, "qft3-trailing-fixture", ok,
             f"swaps={len(swaps)}, removed={report.swaps_removed}, "
-            f"perm={transformed.output_permutation.mapping}")
+            f"perm={transformed.output_permutation}")
 
 
 def test_criterion_4_qpe_determinism():

@@ -11,8 +11,8 @@ from qdd.circuit import (
     Gate,
     GateKind,
     MAX_UNITARY_WIRES,
-    QubitPermutation,
     check_gate,
+    check_permutation,
     cp,
     cx,
     dagger,
@@ -107,33 +107,27 @@ def test_validate_rejects_nonpositive_register():
 
 
 def test_permutation_rejects_non_bijections():
-    with pytest.raises(ValueError):
-        QubitPermutation((0, 0, 1))
-    with pytest.raises(ValueError):
-        QubitPermutation((0, 2))
-    with pytest.raises(ValueError):
-        QubitPermutation((0.0, 1.9))
-    with pytest.raises(ValueError):
-        QubitPermutation((True, False))
+    for mapping in [(0, 0, 1), (0, 2), (0.0, 1.9), (True, False)]:
+        with pytest.raises(ValueError, match="^not a permutation of 0.."):
+            check_permutation(mapping)
+        with pytest.raises(ValueError, match="^not a permutation of 0.."):
+            Circuit(len(mapping), (), mapping)
+    # a permutation of the wrong length is one only Circuit refuses
+    assert check_permutation((1, 0)) is None
+    with pytest.raises(ValueError, match="^output_permutation has 2 entries for 3 qubits"):
+        Circuit(3, (), (1, 0))
 
 
-def test_permutation_compose_and_invert():
-    # p: 0->1->2->0, q: swap 0,1
-    perm = QubitPermutation((1, 2, 0))
-    assert perm.inverse().mapping == (2, 0, 1)
-    assert perm.then(perm.inverse()).is_identity
-    ident = QubitPermutation.identity(4)
-    assert ident.is_identity and len(ident) == 4
-    q = QubitPermutation((1, 0, 2))
-    # then() applies self first: 0 -> 1 -> 0
-    assert perm.then(q).mapping == (0, 2, 1)
+def test_circuit_stores_its_permutation_as_a_tuple():
+    assert Circuit(3).output_permutation == (0, 1, 2)
+    assert Circuit(3, (), [1, 2, 0]).output_permutation == (1, 2, 0)
 
 
 def test_relabel_gate_moves_all_wires():
-    perm = QubitPermutation((2, 0, 1))
-    g = relabel_gate(mcp(0.7, [0, 1], 2), perm.mapping)
+    perm = (2, 0, 1)
+    g = relabel_gate(mcp(0.7, [0, 1], 2), perm)
     assert g.controls == (2, 0) and g.targets == (1,)
-    assert relabel_gate(h(0), perm.mapping).targets == (2,)
+    assert relabel_gate(h(0), perm).targets == (2,)
 
 
 @pytest.mark.parametrize("builder", ALL_BUILDERS_1Q)

@@ -895,9 +895,8 @@ def test_to_statevector_positions_equal_the_transposed_expansion():
         st = pkg.basis_state("0" * n)
         for g in c.gates:
             st = pkg.apply(pkg.gate_dd(g), st)
-        positions = list(range(n))
-        rng.shuffle(positions)
-        # level w's bit moves to position positions[w]: axis positions[w] of the result is axis w
-        axes = [positions.index(q) for q in range(n)]
-        want = to_statevector(st, n).reshape((2,) * n).transpose(axes).reshape(-1)
-        assert np.array_equal(to_statevector(st, n, positions), want)
+        mapping = list(range(n))
+        rng.shuffle(mapping)
+        # index bit q is the bit of level mapping[q]: axis q of the result is axis mapping[q]
+        want = to_statevector(st, n).reshape((2,) * n).transpose(mapping).reshape(-1)
+        assert np.array_equal(to_statevector(st, n, mapping), want)

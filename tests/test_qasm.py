@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qdd.circuit import Circuit, GateKind, QubitPermutation, cp, h, mcp, swap, x
+from qdd.circuit import Circuit, GateKind, cp, h, mcp, swap, x
 from qdd.generators import qft
 from qdd.qasm import QasmError, emit, parse
 from qdd.reorder import ReorderMode, reorder
@@ -43,7 +43,7 @@ def test_permutation_sidecar_round_trip():
     text = emit(out)
     assert "// output_permutation: 2 1 0" in text
     back = parse(text).circuit
-    assert back.output_permutation == QubitPermutation((2, 1, 0))
+    assert back.output_permutation == (2, 1, 0)
     assert back == out
 
 
@@ -136,6 +136,12 @@ def test_angle_division_by_zero_is_an_error():
         ("OPENQASM 2.0;\nqreg q[2];\nbarrier q[0] ) q[1] -> pi;\n", "malformed barrier"),
         ("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n// output_permutation: 1 0 x\n", "malformed output_permutation comment at line 4"),
         ("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n// output_permutation 1 0\n", "malformed output_permutation comment at line 4"),
+        pytest.param("OPENQASM 2.0;\nqreg q[3];\n// output_permutation: 1 0 2\nh q[0];\n// output_permutation: 2 1 0\n",
+                     "second output_permutation comment \\(the first is at line 3\\) at line 5",
+                     id="second-output-permutation-comment"),
+        pytest.param(f"OPENQASM 2.0;\nqreg q[2];\n// output_permutation: 1{'0' * 5000}\n",
+                     r"\(number with 5001 digits is too long\) at line 3", id="output-permutation-entry-5001-digits"),
+        ("OPENQASM 2.0;\nqreg q[2];\n// output_permutation: 0 0\nh q[0];\n", "not a permutation of 0..1: \\(0, 0\\)\\) at line 3"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -184,7 +190,7 @@ def test_error_carries_line_number():
 
 def test_permutation_comment_size_mismatch_is_an_error():
     text = "OPENQASM 2.0;\nqreg q[3];\nh q[0];\n// output_permutation: 1 0\n"
-    with pytest.raises(QasmError, match="output_permutation"):
+    with pytest.raises(QasmError, match=r"has 2 entries for 3 qubits\) at line 4$"):
         parse(text)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qdd import dd
-from qdd.circuit import Circuit, h, swap, x
+from qdd.circuit import Circuit, cp, cx, h, swap, x
 from qdd.generators import build_family, qft
 from qdd.oracle import max_abs_diff, simulate_dense
 from qdd.reorder import ReorderMode
@@ -68,6 +68,21 @@ def test_statevector_matches_oracle_for_every_mode():
             assert max_abs_diff(ref, sv) < 1e-9
             # amplitude() permutes one basis string at a time: the reference
             assert np.array_equal(sv, [result.amplitude(format(i, f"0{n}b")) for i in range(1 << n)])
+
+
+@pytest.mark.parametrize("mode", list(ReorderMode), ids=lambda m: m.value)
+def test_carried_three_cycle_composes_with_the_pass(mode):
+    # (1, 2, 0) is not its own inverse, so composing the pass mapping and the
+    # carried one in the wrong order, or inverting either, changes the answer
+    mapping = (1, 2, 0)
+    c = Circuit(3, (x(0), h(1), cp(0.3, 1, 2), swap(0, 1), cx(1, 2), swap(1, 2)), mapping)
+    # as qdd verify does: original qubit q's bit is the bit of wire mapping[q]
+    wires = simulate_dense(c).amplitudes.reshape((2, 2, 2))
+    want = np.transpose(wires, mapping).reshape(-1)
+    result = run(c, mode)
+    assert np.max(np.abs(result.statevector() - want)) < 1e-12
+    for i in range(8):
+        assert result.amplitude(format(i, "03b")) == pytest.approx(want[i], abs=1e-12)
 
 
 def test_stats_swaps_removed_matches_mode():
