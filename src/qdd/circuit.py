@@ -7,11 +7,12 @@ the topmost decision-diagram level.
 A gate kind is defined once, by its GATE_TABLE row: wire counts, inverse
 kind and target block, the unitary on its targets when every control is |1>
 (first target as the most significant bit; a control's |0> branch is the
-identity). The engine builds a gate DD level by level from the block;
-gate_unitary embeds it in the dense matrix the oracle uses.
+identity). The engine builds a gate DD level by level from the block, or
+walks the state with it for a kind in DIAGONAL_KINDS; gate_unitary embeds it
+in the dense matrix the oracle uses.
 A Gate is a plain record that keeps the values it is given. A valid gate is
 defined once, by check_gate: validate applies it to every gate of a circuit,
-and the QASM reader and gate_dd call it per gate.
+and the QASM reader, gate_dd and apply_diagonal call it per gate.
 A wire relabeling is a plain tuple, mapping[q] being the wire that holds
 original qubit q; check_permutation is its one rule, and Circuit applies it
 to the output permutation it is given.
@@ -92,6 +93,17 @@ GATE_TABLE: dict[GateKind, GateRow] = {
     GateKind.MCP: GateRow(None, 1, _phase, GateKind.MCP),
     GateKind.SWAP: GateRow(0, 2, _block((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)), GateKind.SWAP),
 }
+
+
+def _is_diagonal(row: GateRow) -> bool:
+    block = row.block(1.0) if callable(row.block) else row.block  # an angle block probed at one angle
+    # a controlled row's |0> entry must be 1: the walk scales the whole state by it
+    return row.targets == 1 and not (block[0][1] or block[1][0]) and (row.controls == 0 or block[0][0] == 1)
+
+
+# Kinds whose target block is diag(a, b): the engine applies them to the state
+# by DDPackage.apply_diagonal, without an operator DD.
+DIAGONAL_KINDS = frozenset(kind for kind, row in GATE_TABLE.items() if _is_diagonal(row))
 
 # dense unitaries (the oracle's) are refused beyond this many wires (4^k entries)
 MAX_UNITARY_WIRES = 12

@@ -55,6 +55,21 @@ edge and is not normalized. No other level is visited, so each wire costs at
 most 4^targets matrix nodes, whatever the number of controls and wherever
 the wires sit.
 
+`run()` builds no matrix DD for a diagonal gate (a kind in
+circuit.DIAGONAL_KINDS, target block diag(a, b)): `apply_diagonal` walks the
+state alone. It recurses from the root to the gate's lowest wire. At a level
+that is not a gate wire both branches recurse; at a gate wire above the
+lowest the |0> branch is kept and only |1> recurses; at the lowest wire the
+|1> weight is multiplied by r = b/a. The root weight is multiplied by a, and
+when r is in the bucket of 1 that is all. This follows the gate DD's shape:
+its root edge has weight a (1 for a controlled kind), and each gate wire has
+one matrix node [I, 0; 0, w*M], where M is the next wire's node and w is 1,
+except on the lowest wire, where M is the identity and w is r. The walk makes
+`_mul`'s products on that DD in `_mul`'s order, so it interns the same nodes
+with the same weights, bit for bit, and `apply(gate_dd(g), state)` stays the
+reference the tests compare it with. Its memo is the multiply memo, keyed on
+the state node alone: the node's level fixes the matrix node it meets.
+
 The multiply and add recursions take each operand's weight and node as
 separate arguments and return one `(weight, node)` edge, so no edge tuple
 is built to pass an operand down. Multiplication skips zero matrix slots (a
@@ -64,21 +79,21 @@ successor ends the recursion: the identity times a vector node is that
 vector node, scaled.
 
 Operation results are memoized in two dicts that live for one operation:
-apply() and add() empty them when they return or raise, so no entry
-outlives the call that made it. Within that call each dict is bounded at
-COMPUTE_TABLE_LIMIT entries and cleared wholesale when an insert finds it
-full: the widest SWAP of `qpe` with m counting qubits, in `none` mode,
-fills the add memo with 2^m - 2 entries. The multiply memo keys on the operand node pair
-only: incoming edge weights are scalars that commute through the product,
-so they are factored out and multiplied back onto the cached result. A sum
-could be factored the same way, `a + b = wa*(na + (wb/wa)*nb)`, but the add
-memo deliberately keys on the full operand edges, weights included, while
-ROADMAP item 1 (measure the paper's claim under a factored key) is open. A
-SWAP between distant wires makes the add recursion combine subdiagrams
-under many distinct weight products, each sum new to the memo; that is the
-work the swap-elimination rewrite saves, so the `qpe` gap rests on this
-key. README "Benchmarking" gives the lookups, hits and times measured under
-both keys.
+apply(), apply_diagonal() and add() empty them when they return or raise, so
+no entry outlives the call that made it. Within that call each dict is
+bounded at COMPUTE_TABLE_LIMIT entries and cleared wholesale when an insert
+finds it full: the widest SWAP of `qpe` with m counting qubits, in `none`
+mode, fills the add memo with 2^m - 2 entries. The multiply memo keys on the
+operand node pair only: incoming edge weights are scalars that commute
+through the product, so they are factored out and multiplied back onto the
+cached result. A sum could be factored the same way,
+`a + b = wa*(na + (wb/wa)*nb)`, but the add memo deliberately keys on the
+full operand edges, weights included, while the ROADMAP item on the
+factored add key (measure the paper's claim under it) is open. A SWAP
+between distant wires makes the add recursion combine subdiagrams under many
+distinct weight products, each sum new to the memo; that is the work the
+swap-elimination rewrite saves, so the `qpe` gap rests on this key. README "Benchmarking" gives the lookups,
+hits and times measured under both keys.
 
 Garbage collection is explicit: inc_ref and dec_ref count a root's pins in
 a package table, nodes themselves carry no count, and a mark-and-sweep pass
@@ -91,7 +106,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from time import perf_counter
 
-from .circuit import Gate, check_bits, check_gate, target_unitary
+from .circuit import DIAGONAL_KINDS, Gate, check_bits, check_gate, target_unitary
 
 EPS = 1e-12
 _INV_EPS = 1.0 / EPS
@@ -153,6 +168,11 @@ def _is_vector_edge(e: Edge) -> bool:
     return e[1] is TERMINAL or len(e[1].edges) == 4
 
 
+def _in_bucket_of_one(w: complex) -> bool:
+    """Whether w's components times 1/EPS round (half to even) to 1/EPS and 0, as a vector key's would."""
+    return _KEY_ONE - 0.5 <= w.real * _INV_EPS <= _KEY_ONE + 0.5 and -0.5 <= w.imag * _INV_EPS <= 0.5
+
+
 def _norm_matrix(level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
     """Normalize the matrix node [e0, e1; e2, e3] into a fresh node, or reduce [e, 0; 0, e] to e.
 
@@ -182,12 +202,8 @@ def _norm_matrix(level: int, e0: Edge, e1: Edge, e2: Edge, e3: Edge) -> Edge:
             edges[i] = _C1
     if pivot is None:
         return ZERO
-    if not (p or edges[2] or edges[4]) and edges[7] is edges[1]:
-        # slot 3 in the bucket of 1: its components times 1/EPS round (half to
-        # even) to 1/EPS and 0, as a vector key's would
-        w3 = edges[6]
-        if _KEY_ONE - 0.5 <= w3.real * _INV_EPS <= _KEY_ONE + 0.5 and -0.5 <= w3.imag * _INV_EPS <= 0.5:
-            return (pivot, edges[1])  # [e, 0; 0, e] is e: the identity on this level is skipped
+    if not (p or edges[2] or edges[4]) and edges[7] is edges[1] and _in_bucket_of_one(edges[6]):
+        return (pivot, edges[1])  # [e, 0; 0, e] is e: the identity on this level is skipped
     node = _new_node(Node)
     node.level = level
     node.edges = tuple(edges)
@@ -430,10 +446,67 @@ class DDPackage:
         cache[key] = res
         return (w * res[0], res[1])
 
+    def apply_diagonal(self, gate: Gate, state: Edge) -> Edge:
+        """apply(gate_dd(gate), state) for a gate in DIAGONAL_KINDS, bit for bit, with no operator DD."""
+        if gate.kind not in DIAGONAL_KINDS:
+            raise ValueError(f"{gate.kind.value} is not a diagonal gate")
+        check_gate(gate, self.num_qubits)
+        ws, ns = state
+        if ws != 0 and ns is not TERMINAL and len(ns.edges) != 4:
+            raise TypeError("state must be a vector DD")
+        if not ws:
+            return ZERO
+        (a, _), (_, b) = target_unitary(gate)
+        # gate_dd's root weight is a (1 for a controlled kind) and its lowest
+        # level's |1> slot is b / a
+        r = b / a
+        w = a * ws
+        if _in_bucket_of_one(r):  # gate_dd reduces the gate to (a, TERMINAL)
+            return (w, ns)
+        wires = gate.wires
+        try:
+            res = self._diag(ns, wires, max(wires), r)
+        finally:
+            self._mul_cache.clear()
+        return (w * res[0], res[1])
+
+    def _diag(self, vn: Node, wires: tuple[int, ...], low: int, r: complex) -> Edge:
+        # _mul's steps on the gate DD's one matrix node at vn's level, so the
+        # memo keys on vn alone; a kept |0> branch is _mul's identity slot
+        self._tick = tick = self._tick + 1
+        if not tick & 0x7FFF:
+            self._check_deadline()
+        memo = self._mul_cache
+        res = memo.get(vn)
+        if res is not None:
+            return res
+        # v0 is 0 or exactly 1 (a vector node's first nonzero weight), so
+        # _mul's 1 * v0 is v0 itself, and the zero slot is ZERO
+        v0, d0, v1, d1 = vn.edges
+        level = vn.level
+        w0, n0 = v0, d0
+        if level == low:
+            w1, n1 = (r * v1, d1) if v1 else ZERO
+        else:
+            if v0 and level not in wires:
+                x = self._diag(d0, wires, low, r)
+                w0, n0 = v0 * x[0], x[1]
+            if v1:
+                w1 = _C1 * v1  # _mul's product, kept: it can flip the sign of a zero component
+                x = self._diag(d1, wires, low, r)
+                w1, n1 = w1 * x[0], x[1]
+            else:
+                w1, n1 = ZERO
+        res = self._intern2(level, w0, n0, w1, n1)
+        if len(memo) >= COMPUTE_TABLE_LIMIT:
+            memo.clear()
+        memo[vn] = res
+        return res
+
     def _check_deadline(self) -> None:
         d = self.deadline
         if d is not None and perf_counter() > d:
-            raise SimulationTimeout("deadline exceeded during apply or add")
+            raise SimulationTimeout("deadline exceeded during apply, apply_diagonal or add")
 
     def amplitude(self, edge: Edge, bits: str) -> complex:
         """Amplitude of |bits>: the weight product along the selected path."""

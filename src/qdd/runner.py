@@ -10,11 +10,13 @@ Wall time covers package construction through the last gate, so it includes
 unique-table and compute-cache work but not the rewrite pass or validation.
 RunStats splits it: gate DD construction, apply, the package's own sweeps,
 and the closing young-generation pass; what is left is package setup and
-loop overhead. Peak nodes is sampled from the package's node counter after
-every gate. That counter holds state nodes only (gate DDs are built per gate
-and never interned), dead ones included until a sweep: the package sweeps
-only past GC_THRESHOLD, so below it the peak counts every state node the run
-has made, not the nodes of its largest state.
+loop overhead. A diagonal gate builds no gate DD: apply_diagonal applies it
+to the state directly, and its time counts as apply. Peak nodes is sampled
+from the package's node counter after every gate. That counter holds state
+nodes only (gate DDs are built per gate and never interned), dead ones
+included until a sweep: the package sweeps only past GC_THRESHOLD, so below
+it the peak counts every state node the run has made, not the nodes of its
+largest state.
 
 Python's cyclic garbage collector is suspended, and the interpreter's
 recursion limit raised, for the simulation only. The package frees nodes
@@ -35,7 +37,7 @@ from time import perf_counter
 import numpy as np
 
 from . import dd
-from .circuit import Circuit, check_bits, validate
+from .circuit import DIAGONAL_KINDS, Circuit, check_bits, validate
 from .reorder import ReorderMode, permute_bits, reorder
 
 
@@ -48,8 +50,8 @@ class RunStats:
     swaps_removed: int
     peak_nodes: int
     final_nodes: int
-    gate_dd_s: float  # building each gate's operator DD
-    apply_s: float  # multiplying it into the state
+    gate_dd_s: float  # building each non-diagonal gate's operator DD; a diagonal gate adds nothing
+    apply_s: float  # multiplying it into the state, or a diagonal gate's apply_diagonal walk
     collect_s: float  # pinning the new state and maybe_collect's sweeps
     gc_pass_s: float  # the closing gc.collect(0); 0 when the caller had the GC off
     young_objects: int  # GC-tracked objects the run left for that pass
@@ -110,9 +112,13 @@ def run(
         for gate in transformed.gates:
             if deadline is not None and t > deadline:
                 raise dd.SimulationTimeout(f"exceeded {timeout_s:.3g}s before gate application")
-            op = pkg.gate_dd(gate)
-            t_built = perf_counter()
-            new_state = pkg.apply(op, state)
+            if gate.kind in DIAGONAL_KINDS:
+                t_built = t
+                new_state = pkg.apply_diagonal(gate, state)
+            else:
+                op = pkg.gate_dd(gate)
+                t_built = perf_counter()
+                new_state = pkg.apply(op, state)
             t_applied = perf_counter()
             pkg.inc_ref(new_state)
             pkg.dec_ref(state)

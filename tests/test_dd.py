@@ -10,7 +10,8 @@ import pytest
 
 from qdd import dd
 from qdd.circuit import (
-    GATE_TABLE, MAX_UNITARY_WIRES, Circuit, Gate, GateKind, cp, cx, dagger, gate_unitary, h, mcp, p, rz, swap, x, y,
+    DIAGONAL_KINDS, GATE_TABLE, MAX_UNITARY_WIRES, Circuit, Gate, GateKind, cp, cx, dagger, gate_unitary, h, mcp, p,
+    rz, s, sdg, swap, t, tdg, x, y, z,
 )
 from qdd.dd import (
     DDPackage,
@@ -373,6 +374,55 @@ def test_gate_on_wire_zero_passes_lower_subdiagrams_through(gate):
     assert max_abs_diff(want, to_statevector(out, n)) < 1e-12
 
 
+def test_diagonal_kinds_are_derived_from_the_gate_table():
+    want = {GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.P, GateKind.RZ, GateKind.CP,
+            GateKind.MCP}
+    assert DIAGONAL_KINDS == want
+
+
+def _diagonal_test_states(pkg: DDPackage) -> list:
+    n = pkg.num_qubits
+    layer = pkg.basis_state("0" * n)
+    for q in range(n):
+        layer = pkg.apply(pkg.gate_dd(h(q)), layer)
+    entangled = pkg.basis_state("0" * n)
+    for g in entangled_qft(n).gates:
+        entangled = pkg.apply(pkg.gate_dd(g), entangled)
+    return [pkg.basis_state("011010"), layer, entangled, ZERO]
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        z(0), s(2), sdg(5), t(3), tdg(1), p(0.7, 5), p(-2.1, 0), rz(0.7, 2), rz(-2.1, 5),
+        cp(0.7, 1, 4), cp(0.7, 4, 1), cp(-2.1, 0, 5), cp(-2.1, 5, 0),
+        mcp(0.7, (1, 4, 5), 3), mcp(0.7, (0, 2), 5), mcp(0.7, (3, 5), 0),
+        *(g for a in (0.0, 1e-13, -1e-13) for g in (p(a, 3), rz(a, 0), cp(a, 2, 4), cp(a, 4, 2), mcp(a, (0, 5), 3))),
+    ],
+    ids=lambda g: f"{g.kind.name}({g.angle}){list(g.wires)}",
+)
+def test_apply_diagonal_is_bit_identical_to_the_gate_dd_product(gate):
+    # the walk makes _mul's products in _mul's order, so both packages intern
+    # the same nodes, and a third product in the first finds them all
+    walked, multiplied = DDPackage(6), DDPackage(6)
+    for i, (state, ref) in enumerate(zip(_diagonal_test_states(walked), _diagonal_test_states(multiplied))):
+        before, ref_before = walked.node_count, multiplied.node_count
+        out = walked.apply_diagonal(gate, state)
+        want = multiplied.apply(multiplied.gate_dd(gate), ref)
+        assert walked.node_count - before == multiplied.node_count - ref_before, i
+        assert out[0] == want[0], i
+        assert to_statevector(out, 6).tobytes() == to_statevector(want, 6).tobytes(), i
+        grown = walked.node_count
+        again = walked.apply(walked.gate_dd(gate), state)
+        assert again[1] is out[1] and again[0] == out[0] and walked.node_count == grown, i
+
+
+@pytest.mark.parametrize("gate", [h(0), x(1), y(2), cx(0, 1), swap(0, 2), p(0.3, 3), cp(0.3, 0, 0), mcp(0.3, (), 1)])
+def test_apply_diagonal_rejects_other_gates(pkg3, gate):
+    with pytest.raises(ValueError):
+        pkg3.apply_diagonal(gate, pkg3.basis_state("000"))
+
+
 # ---------------------------------------------------------------- basis states
 
 
@@ -713,7 +763,11 @@ def test_memos_live_for_one_operation():
         states.append(st)
     pkg.add(*states)
     assert not pkg._mul_cache and not pkg._add_cache
-    operations = (lambda: pkg.apply(pkg.gate_dd(h(n - 1)), states[0]), lambda: pkg.add(*states))
+    operations = (
+        lambda: pkg.apply(pkg.gate_dd(h(n - 1)), states[0]),
+        lambda: pkg.apply_diagonal(cp(0.3, 0, n - 1), states[0]),
+        lambda: pkg.add(*states),
+    )
     for operation in operations:
         pkg.deadline, pkg._tick = 0.0, -20  # the 20th tick checks the deadline, which has passed
         with pytest.raises(SimulationTimeout):
@@ -721,9 +775,11 @@ def test_memos_live_for_one_operation():
         assert held[-1] > 0, "the timeout came before any memo entry was made"
         assert not pkg._mul_cache and not pkg._add_cache
     pkg.deadline = None
-    applied, total = (operation() for operation in operations)
+    applied, walked, total = (operation() for operation in operations)
     want = simulate_dense(Circuit(n, (*circuits[0].gates, h(n - 1))))
     assert max_abs_diff(want, to_statevector(applied, n)) < 1e-12
+    want = simulate_dense(Circuit(n, (*circuits[0].gates, cp(0.3, 0, n - 1))))
+    assert max_abs_diff(want, to_statevector(walked, n)) < 1e-12
     want = sum(simulate_dense(c).amplitudes for c in circuits)
     assert np.max(np.abs(to_statevector(total, n) - want)) < 1e-12
 
@@ -850,6 +906,12 @@ def test_deadline_aborts_long_apply():
     with pytest.raises(SimulationTimeout):
         for g in c.gates:
             st = pkg.apply(pkg.gate_dd(g), st)
+    # the diagonal walk ticks as _mul does, so repeated phases on the state the
+    # timeout left reach the next deadline check inside a walk
+    with pytest.raises(SimulationTimeout) as info:
+        for _ in range(1 << 15):
+            st = pkg.apply_diagonal(cp(0.1, 0, n - 1), st)
+    assert [entry.name for entry in info.traceback][-2:] == ["_diag", "_check_deadline"]
 
 
 def test_deadline_aborts_long_add():

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from qdd import dd
-from qdd.circuit import Circuit, cp, cx, h, swap, x
+from qdd.circuit import DIAGONAL_KINDS, Circuit, cp, cx, h, swap, x
 from qdd.generators import build_family, qft
 from qdd.oracle import max_abs_diff, simulate_dense
-from qdd.reorder import ReorderMode
+from qdd.reorder import ReorderMode, reorder
 from qdd.runner import run
 from util import random_circuit
 
@@ -144,6 +144,23 @@ def test_gc_triggers_during_run(monkeypatch, family, n, mode):
     c = build_family(family, n)
     result = run(c, mode)
     assert result.package.gc_runs > 0
+    assert max_abs_diff(simulate_dense(c), result.statevector()) < 1e-9
+
+
+def test_run_builds_no_operator_dd_for_diagonal_gates(monkeypatch):
+    built = []
+    gate_dd = dd.DDPackage.gate_dd
+
+    def counting_gate_dd(self, gate):
+        built.append(gate)
+        return gate_dd(self, gate)
+
+    monkeypatch.setattr(dd.DDPackage, "gate_dd", counting_gate_dd)
+    c = build_family("qpe", 6)
+    transformed, _ = reorder(c, ReorderMode.ALL)
+    result = run(c, ReorderMode.ALL)
+    assert built == [g for g in transformed.gates if g.kind not in DIAGONAL_KINDS]
+    assert len(built) < len(transformed.gates)
     assert max_abs_diff(simulate_dense(c), result.statevector()) < 1e-9
 
 
