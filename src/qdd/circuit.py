@@ -12,7 +12,8 @@ walks the state with it for a kind in DIAGONAL_KINDS; gate_unitary embeds it
 in the dense matrix the oracle uses.
 A Gate is a plain record that keeps the values it is given. A valid gate is
 defined once, by check_gate: validate applies it to every gate of a circuit,
-and the QASM reader, gate_dd and apply_diagonal call it per gate.
+and the QASM reader, gate_dd and apply_diagonal call it per gate. run()
+validates the circuit once and then calls the package's unchecked bodies.
 A wire relabeling is a plain tuple, mapping[q] being the wire that holds
 original qubit q; check_permutation is its one rule, and Circuit applies it
 to the output permutation it is given.

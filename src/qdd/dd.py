@@ -29,8 +29,12 @@ the zero edge itself.
 Vector nodes are interned: structurally identical ones, with weights
 compared after rounding each component to EPS-wide buckets, share one entry
 of a per-level unique table, so equality of state subdiagrams is object
-identity. A component x's bucket is x / EPS rounded half to even, as the
-builtin `round` rounds it. While |x / EPS| < 2^51 it is computed as
+identity. An entry is keyed on the child nodes themselves and the buckets
+x, y of the |1> weight, `(n0, x, y, n1)`, or `(n1,)` when the |0> slot is
+zero (the |1> weight is then exactly 1). The key compares children by
+identity, and the entry's node keeps them alive through its edges. A
+component x's bucket is x / EPS rounded half to even, as the builtin
+`round` rounds it. While |x / EPS| < 2^51 it is computed as
 `x/EPS + 1.5*2^52 - 1.5*2^52`: IEEE addition rounds half to even too, and
 the integral float it leaves hashes and compares like the builtin's int.
 Past that, and for nan and inf, the builtin itself is called, so the keys
@@ -116,7 +120,7 @@ GC_THRESHOLD = 1 << 22
 
 _C0 = complex(0.0, 0.0)
 _C1 = complex(1.0, 0.0)
-_KEY_ONE = round(_C1.real * _INV_EPS)  # key of a pivot slot's real part
+_KEY_ONE = round(_C1.real * _INV_EPS)  # bucket of 1's real part
 # For |x| < _FAST, x + _ROUND - _ROUND is x rounded to an integral float: the
 # sum lands in (2^52, 2^53), where floats are the integers and addition rounds
 # half to even, as the builtin `round` does. An integral float hashes and
@@ -158,7 +162,6 @@ Edge = tuple[complex, Node]  # (weight, node), the unit of every operation
 TERMINAL = Node(-1, ())
 ZERO = (_C0, TERMINAL)
 ONE = (_C1, TERMINAL)
-_ID_TERMINAL = id(TERMINAL)
 # the node builders fill a bare node's two slots themselves, which spares
 # the frame of a Python-level __init__ call per node
 _new_node = object.__new__
@@ -234,7 +237,7 @@ class DDPackage:
             if -EPS <= w1.real <= EPS and -EPS <= w1.imag <= EPS:
                 return ZERO
             pivot = w1
-            key = (0, 0, _ID_TERMINAL, _KEY_ONE, 0, id(n1))
+            key = (n1,)
             w0, n0, w1 = _C0, TERMINAL, _C1
         else:
             pivot = w0
@@ -251,9 +254,9 @@ class DDPackage:
                     y = y + _ROUND - _ROUND
                 else:
                     x, y = _round_buckets(x, y)
-                key = (_KEY_ONE, 0, id(n0), x, y, id(n1))
+                key = (n0, x, y, n1)
             else:
-                key = (_KEY_ONE, 0, id(n0), 0, 0, _ID_TERMINAL)
+                key = (n0, 0, 0, TERMINAL)
                 w1, n1 = _C0, TERMINAL
         table = self._unique[level]
         node = table.get(key)
@@ -297,6 +300,10 @@ class DDPackage:
     def gate_dd(self, gate: Gate) -> Edge:
         """Matrix DD of the gate embedded in the full register (identity elsewhere)."""
         check_gate(gate, self.num_qubits)
+        return self._gate_dd(gate)
+
+    def _gate_dd(self, gate: Gate) -> Edge:
+        # gate_dd for a gate already checked
         targets = gate.targets
         block = target_unitary(gate)
         dim = len(block)
@@ -454,6 +461,11 @@ class DDPackage:
         ws, ns = state
         if ws != 0 and ns is not TERMINAL and len(ns.edges) != 4:
             raise TypeError("state must be a vector DD")
+        return self._apply_diagonal(gate, state)
+
+    def _apply_diagonal(self, gate: Gate, state: Edge) -> Edge:
+        # apply_diagonal for a checked gate in DIAGONAL_KINDS and a vector DD
+        ws, ns = state
         if not ws:
             return ZERO
         (a, _), (_, b) = target_unitary(gate)

@@ -9,7 +9,7 @@ qubit labels; the stored permutation translates them.
 Wall time covers package construction through the last gate, so it includes
 unique-table and compute-cache work but not the rewrite pass or validation.
 RunStats splits it: gate DD construction, apply, the package's own sweeps,
-and the closing young-generation pass; what is left is package setup and
+and the closing hand-off to the cyclic GC; what is left is package setup and
 loop overhead. A diagonal gate builds no gate DD: apply_diagonal applies it
 to the state directly, and its time counts as apply. Peak nodes is sampled
 from the package's node counter after every gate. That counter holds state
@@ -23,8 +23,15 @@ recursion limit raised, for the simulation only. The package frees nodes
 itself (roots pinned in its own table, plus its own mark-and-sweep), and
 nodes form no reference cycles, so the collector's repeated full passes over
 the unique and compute tables would only add work that grows with the live
-heap, not with what the circuit asks for. The one young-generation pass over what the run
-made is timed as part of the run.
+heap, not with what the circuit asks for. For the same reason a young pass
+over what the run made would find nothing to free, so when the caller has the
+collector on, run() ends with gc.freeze() and gc.unfreeze() instead: the pair
+moves every young object to the oldest generation in O(1) and resets the
+young count, and reference counting alone frees the nodes once the result is
+dropped. Young cyclic garbage the caller made before the run moves with
+them and waits for a full collection. A caller holding frozen objects gets
+gc.collect(0) instead, since unfreeze would thaw them. The hand-off is timed
+as part of the run.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ class RunStats:
     gate_dd_s: float  # building each non-diagonal gate's operator DD; a diagonal gate adds nothing
     apply_s: float  # multiplying it into the state, or a diagonal gate's apply_diagonal walk
     collect_s: float  # pinning the new state and maybe_collect's sweeps
-    gc_pass_s: float  # the closing gc.collect(0); 0 when the caller had the GC off
-    young_objects: int  # GC-tracked objects the run left for that pass
+    gc_pass_s: float  # the closing hand-off to the cyclic GC; 0 when the caller had it off
+    young_objects: int  # GC-tracked objects the run made, which the hand-off moves
 
 
 @dataclass(frozen=True)
@@ -112,11 +119,12 @@ def run(
         for gate in transformed.gates:
             if deadline is not None and t > deadline:
                 raise dd.SimulationTimeout(f"exceeded {timeout_s:.3g}s before gate application")
+            # validate() checked every gate, so the unchecked bodies are called
             if gate.kind in DIAGONAL_KINDS:
                 t_built = t
-                new_state = pkg.apply_diagonal(gate, state)
+                new_state = pkg._apply_diagonal(gate, state)
             else:
-                op = pkg.gate_dd(gate)
+                op = pkg._gate_dd(gate)
                 t_built = perf_counter()
                 new_state = pkg.apply(op, state)
             t_applied = perf_counter()
@@ -134,12 +142,14 @@ def run(
         sys.setrecursionlimit(old_limit)
         young_objects = gc.get_count()[0] - young_before
         if gc_was_enabled:
-            gc.enable()
-            # the young generation holds every object the run made; its one
-            # pass over them is the run's cost, so it is paid here, on the clock
             t = perf_counter()
-            gc.collect(0)
+            if gc.get_freeze_count():  # unfreeze would thaw what the caller froze
+                gc.collect(0)
+            else:
+                gc.freeze()
+                gc.unfreeze()
             gc_pass_s = perf_counter() - t
+            gc.enable()
     wall = perf_counter() - t0
 
     stats = RunStats(

@@ -235,12 +235,11 @@ def test_unique_keys_bucket_like_round():
     found = [(t, v) for t, v in scaled if v is not None]
     assert len(found) > 1800 and all(v is not None for t, v in scaled if abs(t) > 2**50)
     vec = DDPackage(1)
-    t_id = id(TERMINAL)
     for t, v in found:
         w = complex(v, 1.0)  # the unit imaginary part keeps small ties off the zero snap
         r, i = round(t), round(dd._INV_EPS)
         _, node = vec._intern2(0, dd.ONE[0], TERMINAL, w, TERMINAL)
-        for key in [(dd._KEY_ONE, 0, t_id, r, i, t_id), (float(dd._KEY_ONE), 0.0, t_id, float(r), float(i), t_id)]:
+        for key in [(TERMINAL, r, i, TERMINAL), (TERMINAL, float(r), float(i), TERMINAL)]:
             assert vec._unique[0][key] is node, t
     assert vec.node_count == len({round(t) for t, _ in found})
 

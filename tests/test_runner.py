@@ -8,8 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from qdd import dd
-from qdd.circuit import DIAGONAL_KINDS, Circuit, cp, cx, h, swap, x
+from qdd import circuit, dd
+from qdd.circuit import DIAGONAL_KINDS, Circuit, GateKind, cp, cx, h, mcp, p, rz, s, sdg, swap, t, tdg, x, y, z
 from qdd.generators import build_family, qft
 from qdd.oracle import max_abs_diff, simulate_dense
 from qdd.reorder import ReorderMode, reorder
@@ -147,15 +147,31 @@ def test_gc_triggers_during_run(monkeypatch, family, n, mode):
     assert max_abs_diff(simulate_dense(c), result.statevector()) < 1e-9
 
 
+def test_run_checks_each_gate_once(monkeypatch):
+    checked = []
+    check_gate = circuit.check_gate
+
+    def counting_check_gate(gate, num_qubits):
+        checked.append(gate)
+        check_gate(gate, num_qubits)
+
+    monkeypatch.setattr(circuit, "check_gate", counting_check_gate)
+    monkeypatch.setattr(dd, "check_gate", counting_check_gate)
+    c = build_family("qpe", 5)
+    run(c, ReorderMode.NONE)
+    assert checked == list(c.gates)
+
+
 def test_run_builds_no_operator_dd_for_diagonal_gates(monkeypatch):
     built = []
-    gate_dd = dd.DDPackage.gate_dd
+    gate_dd = dd.DDPackage._gate_dd
 
     def counting_gate_dd(self, gate):
         built.append(gate)
         return gate_dd(self, gate)
 
-    monkeypatch.setattr(dd.DDPackage, "gate_dd", counting_gate_dd)
+    # run() calls the unchecked body: validate() has checked every gate
+    monkeypatch.setattr(dd.DDPackage, "_gate_dd", counting_gate_dd)
     c = build_family("qpe", 6)
     transformed, _ = reorder(c, ReorderMode.ALL)
     result = run(c, ReorderMode.ALL)
@@ -183,3 +199,69 @@ def test_stats_split_the_wall_time(gc_on):
     assert s.young_objects > 0
     # the closing pass is skipped when the caller had the collector off
     assert (s.gc_pass_s > 0) if gc_on else (s.gc_pass_s == 0)
+
+
+# every gate kind, so every gate DD builder and the diagonal walk run
+_EVERY_KIND = Circuit(
+    3,
+    (h(0), h(1), h(2), x(1), y(2), z(0), s(1), sdg(2), t(0), tdg(1), p(0.3, 2), rz(0.7, 0),
+     cx(0, 1), cp(0.4, 1, 2), mcp(0.5, (0, 2), 1), swap(0, 2), h(1)),
+)
+
+
+@pytest.mark.parametrize("mode", list(ReorderMode), ids=lambda m: m.value)
+def test_reference_counting_alone_frees_the_dd(mode):
+    # the closing hand-off skips the collector's pass over what run() made on
+    # the premise that nothing it made is in a reference cycle
+    assert {g.kind for g in _EVERY_KIND.gates} == set(GateKind)
+
+    def live_nodes():
+        return [o for o in gc.get_objects() if type(o) is dd.Node and o is not dd.TERMINAL]
+
+    gc.collect()
+    before = live_nodes()  # held, so their ids stay theirs
+    kept = {id(o) for o in before}
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run(_EVERY_KIND, mode)
+        assert result.stats.final_nodes > 0
+        del result
+        left = [o for o in live_nodes() if id(o) not in kept]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert left == []
+
+
+def test_run_starts_no_collection():
+    # the hand-off replaces the closing young pass, and the collector stays
+    # off while the run makes its objects
+    phases = []
+
+    def record(phase, info):
+        phases.append(phase)
+
+    assert gc.isenabled()
+    gc.collect()  # so validate() and reorder() cannot reach the threshold
+    gc.callbacks.append(record)
+    try:
+        result = run(build_family("entangled_qft", 6), ReorderMode.ALL)
+    finally:
+        gc.callbacks.remove(record)
+    assert phases == []
+    assert result.stats.young_objects > 0
+    assert gc.get_count()[0] < result.stats.young_objects
+
+
+def test_run_keeps_the_callers_frozen_objects_frozen():
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        result = run(build_family("qpe", 5), ReorderMode.ALL)
+        assert gc.get_freeze_count() == frozen
+        assert result.stats.gc_pass_s > 0
+    finally:
+        gc.unfreeze()
